@@ -10,7 +10,8 @@ echo "==> cargo build --release"
 cargo build --workspace --release
 
 echo "==> cargo test -q"
-cargo test --workspace -q
+# --no-fail-fast: one aborting test binary must not hide every later one.
+cargo test --workspace -q --no-fail-fast
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

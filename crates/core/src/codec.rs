@@ -99,6 +99,15 @@ impl<'a> Decoder<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Caps a decoded element count for `Vec::with_capacity`: every
+    /// element costs at least `min_elem` encoded bytes, so a count above
+    /// `remaining / min_elem` is bound to fail later anyway. Sizing from
+    /// this instead of the raw count means a lying length prefix can never
+    /// drive an allocation past the bytes actually present.
+    pub fn checked_cap(&self, count: usize, min_elem: usize) -> usize {
+        count.min(self.remaining() / min_elem.max(1) + 1)
+    }
+
     /// Moves the cursor to an absolute offset.
     pub fn seek(&mut self, pos: usize) -> Result<()> {
         if pos > self.buf.len() {

@@ -223,12 +223,6 @@ pub struct SystemConfig {
     /// never change.
     pub decoded_column_cache: bool,
 
-    /// Decode and filter v2 columns with the batched (8/16-wide) scan
-    /// kernels. Disabling routes every columnar scan through the scalar
-    /// reference implementation — same answers, byte for byte; the knob
-    /// exists for A/B measurement and as the equivalence-test control.
-    pub vectorized_scan: bool,
-
     /// Interval between membership heartbeats a server sends to the meta
     /// service to renew its lease (paper Fig. 17 elasticity: ZooKeeper
     /// ephemeral-node session pings).
@@ -239,11 +233,6 @@ pub struct SystemConfig {
     /// re-replicated, and routing tables move to the next epoch. Must be
     /// longer than `heartbeat_interval` (several missed beats, not one).
     pub lease_ttl: Duration,
-
-    /// Byte budget per sealed-chunk shipment batch while migrating a key
-    /// range between indexing servers. Bounds how long the migration state
-    /// machine holds the source busy per step.
-    pub migration_batch_bytes: usize,
 }
 
 impl Default for SystemConfig {
@@ -296,10 +285,8 @@ impl Default for SystemConfig {
             chunk_compression: true,
             measure_pruning: true,
             decoded_column_cache: true,
-            vectorized_scan: true,
             heartbeat_interval: Duration::from_millis(500),
             lease_ttl: Duration::from_secs(3),
-            migration_batch_bytes: 1 << 20,
         }
     }
 }
@@ -387,9 +374,6 @@ impl SystemConfig {
         if self.lease_ttl <= self.heartbeat_interval {
             return Err("lease_ttl must exceed heartbeat_interval".into());
         }
-        if self.migration_batch_bytes == 0 {
-            return Err("migration_batch_bytes must be positive".into());
-        }
         Ok(())
     }
 }
@@ -441,7 +425,6 @@ mod tests {
             |c: &mut SystemConfig| c.chunk_format_version = 3,
             |c: &mut SystemConfig| c.heartbeat_interval = Duration::ZERO,
             |c: &mut SystemConfig| c.lease_ttl = Duration::from_millis(1),
-            |c: &mut SystemConfig| c.migration_batch_bytes = 0,
         ] {
             let mut c = SystemConfig::default();
             breakage(&mut c);

@@ -243,7 +243,7 @@ impl Bitmap {
     /// Reads a bitmap written by [`encode`](Self::encode).
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let n = dec.get_u32()? as usize;
-        let mut containers = Vec::with_capacity(n);
+        let mut containers = Vec::with_capacity(dec.checked_cap(n, 8));
         let mut last_high: Option<u16> = None;
         for _ in 0..n {
             let high = dec.get_u32()?;
@@ -262,7 +262,7 @@ impl Bitmap {
                     if len > ARRAY_MAX + 1 {
                         return Err(WwError::corrupt("bitmap", "oversized array container"));
                     }
-                    let mut v = Vec::with_capacity(len);
+                    let mut v = Vec::with_capacity(dec.checked_cap(len, 2));
                     let mut prev: Option<u16> = None;
                     for _ in 0..len {
                         let low = dec.get_u16()?;

@@ -146,7 +146,7 @@ impl TimeBloom {
             return Err(WwError::corrupt("bloom", "bit/word count mismatch"));
         }
         let entries = dec.get_u64()?;
-        let mut bits = Vec::with_capacity(words);
+        let mut bits = Vec::with_capacity(dec.checked_cap(words, 8));
         for _ in 0..words {
             bits.push(dec.get_u64()?);
         }

@@ -41,8 +41,8 @@
 //!   [`ScanScratch`] so pipelined workers reuse them across leaves.
 //! * **Scalar reference** — [`decode_leaf_scalar`] / [`scan_leaf_scalar`]
 //!   keep the original row-at-a-time implementation. They are the oracle
-//!   the vectorized kernels are property-tested against and the path taken
-//!   when `SystemConfig::vectorized_scan` is off.
+//!   the vectorized kernels are property-tested against; production scans
+//!   always take the vectorized path.
 //!
 //! Both layers implement late materialization: the payload block —
 //! including its decompression — is touched only when at least one row
@@ -363,8 +363,8 @@ pub fn decode_leaf_scalar(bytes: &[u8], expected: u32) -> Result<Vec<Tuple>> {
 }
 
 /// Scalar reference for [`scan_leaf`]: row-at-a-time column decode and
-/// filtering, exactly the PR 8 implementation. Also the path taken when
-/// `SystemConfig::vectorized_scan` is off.
+/// filtering, the original row-at-a-time code. The oracle the vectorized
+/// kernels are property-tested against.
 pub fn scan_leaf_scalar(
     bytes: &[u8],
     expected: u32,
@@ -878,26 +878,21 @@ pub fn scan_leaf(
     keys: &KeyInterval,
     times: &TimeInterval,
 ) -> Result<Vec<Tuple>> {
-    scan_leaf_with(bytes, expected, keys, times, true, &mut ScanScratch::new())
+    scan_leaf_with(bytes, expected, keys, times, &mut ScanScratch::new())
 }
 
-/// [`scan_leaf`] with explicit kernel choice and caller-owned scratch: the
-/// query server's filter workers pass their per-worker scratch so decode
-/// buffers survive across leaves. `vectorized = false` routes through the
-/// scalar reference path.
+/// [`scan_leaf`] with caller-owned scratch: the query server's filter
+/// workers pass their per-worker scratch so decode buffers survive across
+/// leaves.
 pub fn scan_leaf_with(
     bytes: &[u8],
     expected: u32,
     keys: &KeyInterval,
     times: &TimeInterval,
-    vectorized: bool,
     scratch: &mut ScanScratch,
 ) -> Result<Vec<Tuple>> {
     if expected == 0 && bytes.is_empty() {
         return Ok(Vec::new());
-    }
-    if !vectorized {
-        return scan_leaf_scalar(bytes, expected, keys, times);
     }
     let layout = decode_columns_vectorized(bytes, expected, scratch)?;
     let ScanScratch {
@@ -1029,7 +1024,7 @@ mod tests {
                 ];
                 for (ki, ti) in &windows {
                     let reference = scan_leaf_scalar(&img, n, ki, ti).unwrap();
-                    let vec = scan_leaf_with(&img, n, ki, ti, true, &mut scratch).unwrap();
+                    let vec = scan_leaf_with(&img, n, ki, ti, &mut scratch).unwrap();
                     assert_eq!(vec, reference);
                     let decoded = DecodedLeaf::decode(&img, n, true, &mut scratch).unwrap();
                     assert_eq!(decoded.scan(ki, ti, &mut scratch).unwrap(), reference);

@@ -114,7 +114,7 @@ impl ValueBloom {
         if words as u64 != num_bits.div_ceil(64) || hashes == 0 || hashes > 16 {
             return Err(WwError::corrupt("value bloom", "bad geometry"));
         }
-        let mut bits = Vec::with_capacity(words);
+        let mut bits = Vec::with_capacity(dec.checked_cap(words, 8));
         for _ in 0..words {
             bits.push(dec.get_u64()?);
         }
@@ -207,7 +207,7 @@ impl ChunkAttrIndex {
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let bloom = ValueBloom::decode(dec)?;
         let n = dec.get_u32()? as usize;
-        let mut hot_values = HashMap::with_capacity(n);
+        let mut hot_values = HashMap::with_capacity(dec.checked_cap(n, 12));
         for _ in 0..n {
             let v = dec.get_u64()?;
             hot_values.insert(v, Bitmap::decode(dec)?);

@@ -132,7 +132,7 @@ fn assert_paths_agree(
             random_window(g, entries)
         };
         let s = scan_leaf_scalar(bytes, expected, &keys, &times);
-        let v = scan_leaf_with(bytes, expected, &keys, &times, true, scratch);
+        let v = scan_leaf_with(bytes, expected, &keys, &times, scratch);
         prop_assert!(
             s.is_err() == v.is_err(),
             "scan accept/reject diverged: {s:?} vs {v:?}"
@@ -242,8 +242,7 @@ fn tdrive_leaves_scan_identically() {
                 let (keys, times) = random_window(&mut g, leaf);
                 let scalar = scan_leaf_scalar(&bytes, leaf.len() as u32, &keys, &times).unwrap();
                 let fast =
-                    scan_leaf_with(&bytes, leaf.len() as u32, &keys, &times, true, &mut scratch)
-                        .unwrap();
+                    scan_leaf_with(&bytes, leaf.len() as u32, &keys, &times, &mut scratch).unwrap();
                 assert_eq!(scalar, fast, "leaf {li} diverged on {keys:?} {times:?}");
                 let decoded =
                     DecodedLeaf::decode(&bytes, leaf.len() as u32, true, &mut scratch).unwrap();

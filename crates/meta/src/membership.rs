@@ -99,7 +99,7 @@ impl MembershipView {
         let mut lists: [Vec<(ServerId, NodeId)>; 2] = [Vec::new(), Vec::new()];
         for list in &mut lists {
             let n = dec.get_u32()? as usize;
-            list.reserve(n.min(1 << 16));
+            list.reserve(dec.checked_cap(n, 8));
             for _ in 0..n {
                 let server = ServerId(dec.get_u32()?);
                 let node = NodeId(dec.get_u32()?);

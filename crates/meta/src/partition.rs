@@ -143,7 +143,7 @@ impl PartitionSchema {
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let version = dec.get_u64()?;
         let n = dec.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = Vec::with_capacity(dec.checked_cap(n, 20));
         for _ in 0..n {
             let lo = dec.get_u64()?;
             let hi = dec.get_u64()?;

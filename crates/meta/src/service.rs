@@ -636,7 +636,9 @@ impl MetadataService {
 
     /// Durably records the start of a key-range migration and bumps the
     /// membership epoch (routers holding the old epoch re-plan). Returns
-    /// the in-flight record.
+    /// the in-flight record. Idempotent while the move is in flight: a
+    /// redelivered call returns the open record for the same
+    /// `(keys, from, to)` instead of opening an orphan beside it.
     pub fn begin_migration(
         &self,
         keys: KeyInterval,
@@ -644,6 +646,13 @@ impl MetadataService {
         to: ServerId,
     ) -> Result<MigrationRecord> {
         let mut state = self.state.write();
+        if let Some(open) = state
+            .migrations
+            .values()
+            .find(|m| !m.completed() && m.keys == keys && m.from == from && m.to == to)
+        {
+            return Ok(*open);
+        }
         let id = state.next_migration;
         state.next_migration += 1;
         state.membership_epoch += 1;

@@ -26,6 +26,7 @@ use parking_lot::RwLock;
 use persist::PartitionPersist;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use waterwheel_core::{Result, Tuple, WwError};
 use waterwheel_wal::{FsyncPolicy, WalStats};
@@ -42,6 +43,27 @@ pub struct Record {
     pub tuple: Tuple,
 }
 
+/// The exactly-once table: the highest batch sequence number that landed
+/// per producer. A producer retries a failed batch under its original
+/// number and never sends a younger batch past an undelivered older one,
+/// so `seq <= last` identifies a redelivery whose first attempt landed
+/// with only the ack lost.
+#[derive(Clone, Debug, Default)]
+pub struct SeqTable(HashMap<u32, u64>);
+
+impl SeqTable {
+    /// Whether batch `seq` from `src` already landed.
+    pub fn is_duplicate(&self, src: u32, seq: u64) -> bool {
+        self.0.get(&src).is_some_and(|&last| seq <= last)
+    }
+
+    /// Records that batch `seq` from `src` landed.
+    pub fn record(&mut self, src: u32, seq: u64) {
+        let e = self.0.entry(src).or_insert(seq);
+        *e = (*e).max(seq);
+    }
+}
+
 /// One partition's log.
 #[derive(Default)]
 struct PartitionLog {
@@ -53,7 +75,7 @@ struct PartitionLog {
     persist: Option<PartitionPersist>,
     /// Highest marked-batch sequence number per producer, recovered from
     /// disk and maintained across appends (exactly-once replay state).
-    last_seqs: HashMap<u32, u64>,
+    last_seqs: SeqTable,
 }
 
 impl PartitionLog {
@@ -84,6 +106,8 @@ pub struct MessageQueue {
     segment_bytes: usize,
     /// Shared durability counters across all partitions.
     stats: Arc<WalStats>,
+    /// Marked batches recognised as redeliveries and dropped.
+    dedup_drops: Arc<AtomicU64>,
 }
 
 impl Default for MessageQueue {
@@ -94,6 +118,7 @@ impl Default for MessageQueue {
             policy: FsyncPolicy::Never,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             stats: WalStats::shared(),
+            dedup_drops: Arc::default(),
         }
     }
 }
@@ -128,6 +153,7 @@ impl MessageQueue {
             policy,
             segment_bytes,
             stats: WalStats::shared(),
+            dedup_drops: Arc::default(),
         })
     }
 
@@ -141,6 +167,9 @@ impl MessageQueue {
     /// of the configured policy (call before a planned shutdown;
     /// crash-safety of plain appends is bounded by the group-commit size).
     pub fn sync(&self) -> Result<()> {
+        if self.root.is_none() {
+            return Ok(());
+        }
         let topics: Vec<Arc<Topic>> = self.topics.read().values().cloned().collect();
         for topic in topics {
             for log in &topic.partitions {
@@ -190,7 +219,7 @@ impl MessageQueue {
                         tuple,
                     })
                     .collect();
-                log.last_seqs = loaded.last_seqs;
+                log.last_seqs = SeqTable(loaded.last_seqs);
                 log.persist = Some(persist);
             }
             logs.push(RwLock::new(log));
@@ -225,15 +254,7 @@ impl MessageQueue {
 
     /// Appends a tuple, returning its offset.
     pub fn append(&self, name: &str, partition: usize, tuple: Tuple) -> Result<u64> {
-        let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let mut log = log.write();
-        let offset = log.next_offset();
-        if let Some(p) = &mut log.persist {
-            p.append_batch(None, std::slice::from_ref(&tuple))?;
-        }
-        log.records.push(Record { offset, tuple });
-        Ok(offset)
+        self.append_batch(name, partition, [tuple])
     }
 
     /// Appends a batch, returning the offset of the first record. On a
@@ -244,16 +265,19 @@ impl MessageQueue {
         partition: usize,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<u64> {
-        self.append_batch_inner(name, partition, None, tuples.into_iter().collect())
+        // An unmarked batch is never a duplicate, so it always lands.
+        let first = self.append_inner(name, partition, None, tuples.into_iter().collect())?;
+        Ok(first.unwrap_or_default())
     }
 
     /// Appends a batch carrying its exactly-once identity: the producer's
-    /// server id and per-destination sequence number are journalled in the
-    /// same atomic frame as the tuples, so after a `kill -9` the replayed
-    /// log also rebuilds the duplicate-suppression state
-    /// ([`MessageQueue::last_seq`]). This is the ack durability point —
-    /// the frame is committed (fsynced under
-    /// [`FsyncPolicy::Always`]) before this returns.
+    /// server id and per-destination sequence number. A redelivery of a
+    /// `seq` that already landed is counted, not appended, and returns
+    /// `None`. Otherwise the marker is journalled in the tuples' atomic
+    /// frame — so a replayed log rebuilds the dedup state — and committed
+    /// (fsynced under [`FsyncPolicy::Always`]) before this returns: the ack
+    /// durability point. A failed append records nothing and stays
+    /// retryable.
     pub fn append_batch_from(
         &self,
         name: &str,
@@ -261,20 +285,24 @@ impl MessageQueue {
         src: u32,
         seq: u64,
         tuples: Vec<Tuple>,
-    ) -> Result<u64> {
-        self.append_batch_inner(name, partition, Some((src, seq)), tuples)
+    ) -> Result<Option<u64>> {
+        self.append_inner(name, partition, Some((src, seq)), tuples)
     }
 
-    fn append_batch_inner(
+    fn append_inner(
         &self,
         name: &str,
         partition: usize,
         marker: Option<(u32, u64)>,
         tuples: Vec<Tuple>,
-    ) -> Result<u64> {
+    ) -> Result<Option<u64>> {
         let topic = self.topic(name)?;
         let log = Self::partition(&topic, name, partition)?;
         let mut log = log.write();
+        if marker.is_some_and(|(src, seq)| log.last_seqs.is_duplicate(src, seq)) {
+            self.dedup_drops.fetch_add(1, Ordering::Relaxed);
+            return Ok(None);
+        }
         let first = log.next_offset();
         if let Some(p) = &mut log.persist {
             p.append_batch(marker, &tuples)?;
@@ -283,10 +311,15 @@ impl MessageQueue {
             log.records.push(Record { offset, tuple });
         }
         if let Some((src, seq)) = marker {
-            let e = log.last_seqs.entry(src).or_insert(seq);
-            *e = (*e).max(seq);
+            log.last_seqs.record(src, seq);
         }
-        Ok(first)
+        Ok(Some(first))
+    }
+
+    /// Marked batches recognised as redeliveries and dropped instead of
+    /// appended twice, across every partition of this broker.
+    pub fn dedup_drops(&self) -> u64 {
+        self.dedup_drops.load(Ordering::Relaxed)
     }
 
     /// The highest marked-batch sequence number this partition has seen
@@ -295,19 +328,8 @@ impl MessageQueue {
     pub fn last_seq(&self, name: &str, partition: usize, src: u32) -> Result<Option<u64>> {
         let topic = self.topic(name)?;
         let log = Self::partition(&topic, name, partition)?;
-        let seq = log.read().last_seqs.get(&src).copied();
+        let seq = log.read().last_seqs.0.get(&src).copied();
         Ok(seq)
-    }
-
-    /// All recovered/maintained `(producer, last sequence)` pairs of a
-    /// partition — seeds a restarted consumer's dedup map.
-    pub fn recovered_seqs(&self, name: &str, partition: usize) -> Result<Vec<(u32, u64)>> {
-        let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let mut seqs: Vec<(u32, u64)> =
-            log.read().last_seqs.iter().map(|(s, q)| (*s, *q)).collect();
-        seqs.sort_unstable();
-        Ok(seqs)
     }
 
     /// Reads up to `max` records starting at `offset` (inclusive).
@@ -567,7 +589,7 @@ mod tests {
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 3);
         assert_eq!(mq.last_seq("ingest", 0, 2000).unwrap(), Some(2));
         assert_eq!(mq.last_seq("ingest", 0, 2001).unwrap(), None);
-        assert_eq!(mq.recovered_seqs("ingest", 1).unwrap(), vec![(2001, 7)]);
+        assert_eq!(mq.last_seq("ingest", 1, 2001).unwrap(), Some(7));
         let records = mq.read_from("ingest", 0, 0, 10).unwrap();
         let keys: Vec<u64> = records.iter().map(|r| r.tuple.key).collect();
         assert_eq!(keys, vec![1, 2, 3]);
@@ -577,6 +599,56 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             4
         );
+    }
+
+    #[test]
+    fn marked_batches_land_once_and_failed_appends_stay_retryable() {
+        let root = std::env::temp_dir().join(format!("ww-mq-dedup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        // A one-byte segment budget rotates on every append, so removing
+        // the directory makes the next append fail before it journals.
+        let mq = MessageQueue::durable_with(&root, FsyncPolicy::Never, 1).unwrap();
+        mq.create_topic("ingest", 1).unwrap();
+        let batch = |k: u64| vec![Tuple::bare(k, k)];
+        assert_eq!(
+            mq.append_batch_from("ingest", 0, 2000, 0, batch(1))
+                .unwrap(),
+            Some(0)
+        );
+        // Redelivery of a landed seq: dropped, nothing appended.
+        assert_eq!(
+            mq.append_batch_from("ingest", 0, 2000, 0, batch(1))
+                .unwrap(),
+            None
+        );
+        assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 1);
+        assert_eq!(mq.dedup_drops(), 1);
+        // A failed append records nothing: the same seq retries and lands.
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(mq
+            .append_batch_from("ingest", 0, 2000, 1, batch(2))
+            .is_err());
+        std::fs::create_dir_all(&root).unwrap();
+        assert_eq!(
+            mq.append_batch_from("ingest", 0, 2000, 1, batch(2))
+                .unwrap(),
+            Some(1)
+        );
+        // Producers are independent: another one's seq 0 is fresh.
+        assert_eq!(
+            mq.append_batch_from("ingest", 0, 2001, 0, batch(3))
+                .unwrap(),
+            Some(2)
+        );
+        assert_eq!(mq.dedup_drops(), 1);
+        let keys: Vec<u64> = mq
+            .read_from("ingest", 0, 0, 10)
+            .unwrap()
+            .iter()
+            .map(|r| r.tuple.key)
+            .collect();
+        assert_eq!(keys, vec![1, 2, 3]);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -296,6 +296,23 @@ pub enum MetaRequest {
         /// The schema to publish.
         schema: PartitionSchema,
     },
+    /// Durably record the start of a key-range move. Answered with
+    /// [`MetaResponse::Migration`]; a redelivery of a move that is still
+    /// in flight returns the existing record instead of opening another.
+    BeginMigration {
+        /// The key range changing owners.
+        keys: KeyInterval,
+        /// The current owner.
+        from: ServerId,
+        /// The new owner.
+        to: ServerId,
+    },
+    /// Durably record a migration's cut-over. Idempotent per id; answered
+    /// with [`MetaResponse::Epoch`] (the cut-over epoch).
+    CompleteMigration {
+        /// The record opened by [`MetaRequest::BeginMigration`].
+        id: u64,
+    },
 }
 
 /// A response payload.
@@ -362,6 +379,9 @@ pub enum MetaResponse {
     /// The epoch-numbered membership view (answer to
     /// [`MetaRequest::Membership`]).
     Membership(MembershipView),
+    /// The id of an in-flight migration record (answer to
+    /// [`MetaRequest::BeginMigration`]).
+    Migration(u64),
 }
 
 fn unexpected<T>() -> Result<T> {

@@ -13,13 +13,15 @@
 //! conflict-checked by the service (`register_chunk` rejects duplicate
 //! ids; `update_memory_region` is last-writer-wins from a single owner;
 //! `allocate_chunk_id` may burn an id on a lost *response*, which only
-//! leaves a gap in the sequence).
+//! leaves a gap in the sequence; `begin_migration` returns the open record
+//! of a move already in flight; `set_partition` recognises its own
+//! redelivery).
 
 use crate::client::RpcClient;
 use crate::envelope::{MetaRequest, MetaResponse, Request, Response, META_SERVER};
 use crate::transport::HandlerHost;
 use std::time::Duration;
-use waterwheel_core::{ChunkId, NodeId, Region, Result, ServerId, WwError};
+use waterwheel_core::{ChunkId, KeyInterval, NodeId, Region, Result, ServerId, WwError};
 use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
 use waterwheel_meta::{
     ChunkInfo, MemberRole, MembershipView, MetadataService, PartitionSchema, SummaryExtent,
@@ -93,6 +95,12 @@ pub fn serve_meta<H: HandlerHost + ?Sized>(host: &H, meta: MetadataService) {
                 meta.set_partition(schema)?;
                 MetaResponse::Ack
             }
+            MetaRequest::BeginMigration { keys, from, to } => {
+                MetaResponse::Migration(meta.begin_migration(keys, from, to)?.id)
+            }
+            MetaRequest::CompleteMigration { id } => {
+                MetaResponse::Epoch(meta.complete_migration(id)?)
+            }
         };
         Ok(Response::Meta(resp))
     });
@@ -102,6 +110,12 @@ pub fn serve_meta<H: HandlerHost + ?Sized>(host: &H, meta: MetadataService) {
 #[derive(Clone)]
 pub struct MetaClient {
     rpc: RpcClient,
+}
+
+fn wrong_variant<T>() -> Result<T> {
+    Err(WwError::InvalidState(
+        "metadata server answered the wrong variant".into(),
+    ))
 }
 
 impl MetaClient {
@@ -117,9 +131,7 @@ impl MetaClient {
     fn expect_ack(&self, req: MetaRequest) -> Result<()> {
         match self.call(req)? {
             MetaResponse::Ack => Ok(()),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -132,9 +144,7 @@ impl MetaClient {
     pub fn allocate_chunk_id(&self) -> Result<ChunkId> {
         match self.call(MetaRequest::AllocateChunkId)? {
             MetaResponse::Allocated(id) => Ok(id),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -171,9 +181,7 @@ impl MetaClient {
     pub fn chunks_overlapping(&self, region: &Region) -> Result<Vec<(ChunkId, Region)>> {
         match self.call(MetaRequest::ChunksOverlapping { region: *region })? {
             MetaResponse::Chunks(v) => Ok(v),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -181,9 +189,7 @@ impl MetaClient {
     pub fn memory_regions_overlapping(&self, region: &Region) -> Result<Vec<(ServerId, Region)>> {
         match self.call(MetaRequest::MemoryRegionsOverlapping { region: *region })? {
             MetaResponse::Regions(v) => Ok(v),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -191,9 +197,7 @@ impl MetaClient {
     pub fn attr_probe(&self, chunk: ChunkId, attr: AttrId, value: u64) -> Result<AttrProbe> {
         match self.call(MetaRequest::AttrProbe { chunk, attr, value })? {
             MetaResponse::Probe(p) => Ok(p),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -201,9 +205,7 @@ impl MetaClient {
     pub fn summary_extent(&self, chunk: ChunkId) -> Result<Option<SummaryExtent>> {
         match self.call(MetaRequest::SummaryExtent { chunk })? {
             MetaResponse::Extent(e) => Ok(e),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -212,9 +214,7 @@ impl MetaClient {
     pub fn durable_offset(&self, server: ServerId) -> Result<u64> {
         match self.call(MetaRequest::DurableOffset { server })? {
             MetaResponse::Offset(o) => Ok(o),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -222,18 +222,14 @@ impl MetaClient {
     pub fn partition(&self) -> Result<Option<PartitionSchema>> {
         match self.call(MetaRequest::Partition)? {
             MetaResponse::Partition(p) => Ok(p),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
     fn expect_epoch(&self, req: MetaRequest) -> Result<u64> {
         match self.call(req)? {
             MetaResponse::Epoch(e) => Ok(e),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 
@@ -266,18 +262,37 @@ impl MetaClient {
         self.expect_epoch(MetaRequest::Leave { server })
     }
 
-    /// See [`MetadataService::set_partition`].
+    /// See [`MetadataService::set_partition`]. A rejection that finds
+    /// exactly this schema installed is a redelivery whose first ack was
+    /// lost, and succeeds.
     pub fn set_partition(&self, schema: PartitionSchema) -> Result<()> {
-        self.expect_ack(MetaRequest::SetPartition { schema })
+        match self.expect_ack(MetaRequest::SetPartition {
+            schema: schema.clone(),
+        }) {
+            Err(WwError::InvalidState(_)) if self.partition()? == Some(schema) => Ok(()),
+            other => other,
+        }
+    }
+
+    /// See [`MetadataService::begin_migration`]; returns the record id.
+    pub fn begin_migration(&self, keys: KeyInterval, from: ServerId, to: ServerId) -> Result<u64> {
+        match self.call(MetaRequest::BeginMigration { keys, from, to })? {
+            MetaResponse::Migration(id) => Ok(id),
+            _ => wrong_variant(),
+        }
+    }
+
+    /// See [`MetadataService::complete_migration`]; returns the cut-over
+    /// epoch.
+    pub fn complete_migration(&self, id: u64) -> Result<u64> {
+        self.expect_epoch(MetaRequest::CompleteMigration { id })
     }
 
     /// See [`MetadataService::membership`].
     pub fn membership(&self) -> Result<MembershipView> {
         match self.call(MetaRequest::Membership)? {
             MetaResponse::Membership(v) => Ok(v),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
     }
 }

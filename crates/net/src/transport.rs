@@ -112,6 +112,13 @@ impl HandlerRegistry {
         self.handlers.write().insert(dst, Arc::new(handler));
     }
 
+    /// Unbinds every handler. Handlers own the servers they front, and
+    /// those servers own clients of the transport that owns this registry;
+    /// clearing it is how a host tears that cycle down.
+    pub fn clear(&self) {
+        self.handlers.write().clear();
+    }
+
     /// The handler bound at `dst`, if any.
     pub fn get(&self, dst: ServerId) -> Option<Handler> {
         self.handlers.read().get(&dst).cloned()

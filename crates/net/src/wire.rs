@@ -231,14 +231,6 @@ fn get_string(dec: &mut Decoder<'_>) -> Result<String> {
         .map_err(|_| WwError::corrupt("frame", "string is not valid utf-8"))
 }
 
-/// Caps a decoded element count so `Vec::with_capacity` cannot be driven
-/// past the bytes actually present in the frame. Every element costs at
-/// least `min_elem` encoded bytes, so a count above `remaining / min_elem`
-/// is guaranteed to fail later anyway — allocate only what can exist.
-fn checked_cap(dec: &Decoder<'_>, count: usize, min_elem: usize) -> usize {
-    count.min(dec.remaining() / min_elem.max(1) + 1)
-}
-
 fn encode_key_interval(out: &mut Vec<u8>, i: &KeyInterval) {
     out.put_u64(i.lo());
     out.put_u64(i.hi());
@@ -270,7 +262,7 @@ fn encode_tuples(out: &mut Vec<u8>, tuples: &[Tuple]) {
 
 fn decode_tuples(dec: &mut Decoder<'_>) -> Result<Vec<Tuple>> {
     let count = dec.get_u32()? as usize;
-    let mut tuples = Vec::with_capacity(checked_cap(dec, count, 20));
+    let mut tuples = Vec::with_capacity(dec.checked_cap(count, 20));
     for _ in 0..count {
         tuples.push(decode_tuple(dec)?);
     }
@@ -503,7 +495,7 @@ fn decode_request_payload(dec: &mut Decoder<'_>) -> Result<Request> {
         11 => Request::Shutdown,
         12 => {
             let count = dec.get_u32()? as usize;
-            let mut peers = Vec::with_capacity(checked_cap(dec, count, 8));
+            let mut peers = Vec::with_capacity(dec.checked_cap(count, 8));
             for _ in 0..count {
                 let server = ServerId(dec.get_u32()?);
                 peers.push((server, get_string(dec)?));
@@ -607,6 +599,16 @@ fn encode_meta_request(out: &mut Vec<u8>, req: &MetaRequest) {
             out.push(15);
             schema.encode(out);
         }
+        MetaRequest::BeginMigration { keys, from, to } => {
+            out.push(16);
+            encode_key_interval(out, keys);
+            out.put_u32(from.raw());
+            out.put_u32(to.raw());
+        }
+        MetaRequest::CompleteMigration { id } => {
+            out.push(17);
+            out.put_u64(*id);
+        }
     }
 }
 
@@ -675,6 +677,12 @@ fn decode_meta_request(dec: &mut Decoder<'_>) -> Result<MetaRequest> {
         15 => MetaRequest::SetPartition {
             schema: PartitionSchema::decode(dec)?,
         },
+        16 => MetaRequest::BeginMigration {
+            keys: decode_key_interval(dec)?,
+            from: ServerId(dec.get_u32()?),
+            to: ServerId(dec.get_u32()?),
+        },
+        17 => MetaRequest::CompleteMigration { id: dec.get_u64()? },
         other => {
             return Err(WwError::corrupt(
                 "frame",
@@ -852,7 +860,7 @@ fn decode_response_payload(dec: &mut Decoder<'_>) -> Result<Response> {
         3 => Response::Tuples(decode_tuples(dec)?),
         4 => {
             let count = dec.get_u32()? as usize;
-            let mut chunks = Vec::with_capacity(checked_cap(dec, count, 8));
+            let mut chunks = Vec::with_capacity(dec.checked_cap(count, 8));
             for _ in 0..count {
                 chunks.push(ChunkId(dec.get_u64()?));
             }
@@ -862,7 +870,7 @@ fn decode_response_payload(dec: &mut Decoder<'_>) -> Result<Response> {
             let agg = PartialAgg::decode(dec)?;
             let cells_merged = dec.get_u64()?;
             let count = dec.get_u32()? as usize;
-            let mut residues = Vec::with_capacity(checked_cap(dec, count, 16));
+            let mut residues = Vec::with_capacity(dec.checked_cap(count, 16));
             for _ in 0..count {
                 residues.push(decode_time_interval(dec)?);
             }
@@ -979,6 +987,10 @@ fn encode_meta_response(out: &mut Vec<u8>, resp: &MetaResponse) {
             out.push(9);
             view.encode(out);
         }
+        MetaResponse::Migration(id) => {
+            out.push(10);
+            out.put_u64(*id);
+        }
     }
 }
 
@@ -988,7 +1000,7 @@ fn decode_meta_response(dec: &mut Decoder<'_>) -> Result<MetaResponse> {
         1 => MetaResponse::Allocated(ChunkId(dec.get_u64()?)),
         2 => {
             let count = dec.get_u32()? as usize;
-            let mut chunks = Vec::with_capacity(checked_cap(dec, count, 40));
+            let mut chunks = Vec::with_capacity(dec.checked_cap(count, 40));
             for _ in 0..count {
                 chunks.push((ChunkId(dec.get_u64()?), decode_region(dec)?));
             }
@@ -996,7 +1008,7 @@ fn decode_meta_response(dec: &mut Decoder<'_>) -> Result<MetaResponse> {
         }
         3 => {
             let count = dec.get_u32()? as usize;
-            let mut regions = Vec::with_capacity(checked_cap(dec, count, 36));
+            let mut regions = Vec::with_capacity(dec.checked_cap(count, 36));
             for _ in 0..count {
                 regions.push((ServerId(dec.get_u32()?), decode_region(dec)?));
             }
@@ -1036,6 +1048,7 @@ fn decode_meta_response(dec: &mut Decoder<'_>) -> Result<MetaResponse> {
         7 => MetaResponse::Offset(dec.get_u64()?),
         8 => MetaResponse::Epoch(dec.get_u64()?),
         9 => MetaResponse::Membership(MembershipView::decode(dec)?),
+        10 => MetaResponse::Migration(dec.get_u64()?),
         other => {
             return Err(WwError::corrupt(
                 "frame",
@@ -1325,6 +1338,12 @@ mod tests {
             MetaRequest::SetPartition {
                 schema: PartitionSchema::uniform(&[ServerId(0), ServerId(1)]),
             },
+            MetaRequest::BeginMigration {
+                keys: KeyInterval::new(100, 5_000),
+                from: ServerId(0),
+                to: ServerId(2),
+            },
+            MetaRequest::CompleteMigration { id: 9 },
         ];
         for req in reqs {
             let decoded = roundtrip_request(Request::Meta(req.clone()));
@@ -1415,6 +1434,7 @@ mod tests {
                 indexing: vec![(ServerId(0), waterwheel_core::NodeId(0))],
                 query: vec![(ServerId(1_000), waterwheel_core::NodeId(1))],
             })),
+            Response::Meta(MetaResponse::Migration(7)),
         ];
         for resp in cases {
             let got = roundtrip_response(resp.clone());

@@ -6,16 +6,19 @@
 //!
 //! | Role | Binds | Owns |
 //! |---|---|---|
-//! | `meta` | `META_SERVER` | durable [`MetadataService`](waterwheel_meta::MetadataService), bootstrap partition schema |
-//! | `indexing` | indexing ids `0..` | ingestion queue, in-memory trees, pumps, chunk flushing |
+//! | `meta` | `META_SERVER` | durable [`MetadataService`](waterwheel_meta::MetadataService), bootstrap partition schema, lease sweeper |
+//! | `indexing` | indexing ids `0..` | durable ingestion queue (and its exactly-once dedup), in-memory trees, pumps, chunk flushing |
 //! | `query` | query ids `1000..` | chunk subquery execution over the shared DFS root |
-//! | `dispatcher` | dispatcher ids `2000..` + `COORDINATOR` | ingest routing, query decomposition, client gateway |
+//! | `dispatcher` | dispatcher ids `2000..` + `COORDINATOR` | ingest routing, query decomposition, client gateway, the migration engine behind `MigrateUniform` |
 //!
 //! Every process rebuilds the same deterministic layout (cluster
 //! placement, server ids, uniform partition schema) from a handful of
 //! counts, so no process needs the others' in-memory state — only their
 //! addresses (a peer map) and the shared filesystem root where chunks and
-//! metadata live.
+//! metadata live. The layout, the indexing and query handlers, and the
+//! pump loop are the embedded system's own, from
+//! [`waterwheel_server::host`]; the runtime adds only what a separate
+//! process needs (peer routes, lease keepers, the client gateway).
 //!
 //! [`ClusterSpec::launch`](spec::ClusterSpec::launch) spawns the four
 //! roles as children of the calling process and returns a

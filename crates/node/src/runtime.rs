@@ -1,32 +1,32 @@
 //! The per-process node runtime: rebuild the deterministic layout, bind
-//! this role's handlers into a [`HandlerRegistry`], and serve them over a
-//! TCP listener until a `Shutdown` RPC (or losing the launcher's stdin
-//! pipe) tears the process down.
+//! this role's handlers into a
+//! [`HandlerRegistry`](waterwheel_net::HandlerRegistry), and serve them
+//! over a TCP listener until a `Shutdown` RPC (or losing the launcher's
+//! stdin pipe) tears the process down. Ids, handlers and pumps come from
+//! [`waterwheel_server::host`], the same role host the embedded system
+//! uses; the gateway's `MigrateUniform` runs the one migration engine.
 
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use parking_lot::{Mutex, RwLock};
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use waterwheel_cluster::{Cluster, LatencyModel};
-use waterwheel_core::{KeyInterval, NodeId, Query, Result, ServerId, SystemConfig, WwError};
-use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
-use waterwheel_mq::{Consumer, MessageQueue};
+use waterwheel_core::{NodeId, Query, Result, ServerId, SystemConfig, WwError};
+use waterwheel_meta::{MemberRole, PartitionSchema};
+use waterwheel_mq::{MessageQueue, SeqTable};
 use waterwheel_net::{
-    serve_meta, HandlerRegistry, MetaClient, Request, Response, RpcClient, TcpRpcServer,
-    TcpTransport, Transport, WireStats, COORDINATOR, META_SERVER,
+    serve_meta, Envelope, MetaClient, Request, Response, RpcClient, TcpRpcServer, TcpTransport,
+    Transport, WireStats, COORDINATOR, META_SERVER,
 };
+use waterwheel_server::host::{self, IdLayout, IndexingSlots};
 use waterwheel_server::{
-    AttrRegistry, Coordinator, DispatchPolicy, Dispatcher, IndexingServer, QueryServer,
+    diff_moves, AttrRegistry, Coordinator, DispatchPolicy, Dispatcher, MigrationEngine,
+    MigrationPlan, MigrationStats, QueryServer,
 };
-use waterwheel_storage::SimDfs;
 use waterwheel_wal::FsyncPolicy;
-
-/// Name of the ingestion topic (must match the embedded system's).
-const INGEST_TOPIC: &str = "ingest";
 
 /// The well-known secondary attribute (paper §VIII) every node process
 /// registers deterministically: the first payload byte. Indexing
@@ -281,40 +281,12 @@ impl NodeConfig {
     }
 }
 
-/// Indexing-server ids for a cluster with `n` of them (`0..`).
-pub fn indexing_ids(n: usize) -> Vec<ServerId> {
-    (0..n as u32).map(ServerId).collect()
-}
-
-/// Query-server ids (`1000..`).
-pub fn query_ids(n: usize) -> Vec<ServerId> {
-    (0..n as u32).map(|i| ServerId(1_000 + i)).collect()
-}
-
-/// Dispatcher ids (`2000..`).
-pub fn dispatcher_ids(n: usize) -> Vec<ServerId> {
-    (0..n as u32).map(|i| ServerId(2_000 + i)).collect()
-}
-
-/// The contiguous slice of a role's server ids hosted by process `p` of
-/// `n`. Launchers keep `ids.len()` divisible by `n`, so slices are
-/// equal-sized — and because growth adds whole slices at the top, an
-/// existing process's slice never moves when the cluster grows.
-pub fn slice_ids(ids: &[ServerId], p: usize, n: usize) -> Vec<ServerId> {
-    let per = ids.len() / n.max(1);
-    ids.iter().skip(p * per).take(per).copied().collect()
-}
-
 /// The deterministic layout every process rebuilds identically: system
-/// config, simulated cluster with server placement, and the id vectors.
+/// config, simulated cluster with server placement, and the id layout.
 struct Layout {
     cfg: SystemConfig,
     cluster: Cluster,
-    ix_ids: Vec<ServerId>,
-    qs_ids: Vec<ServerId>,
-    disp_ids: Vec<ServerId>,
-    ix_procs: usize,
-    qs_procs: usize,
+    ids: IdLayout,
 }
 
 impl Layout {
@@ -334,155 +306,92 @@ impl Layout {
         // that early.
         cfg.rpc_timeout = std::time::Duration::from_secs(10);
         cfg.validate().map_err(WwError::Config)?;
-        let ix_procs = nc.indexing_processes.max(1);
-        let qs_procs = nc.query_processes.max(1);
-        if cfg.indexing_servers % ix_procs != 0 || cfg.query_servers % qs_procs != 0 {
-            return Err(WwError::Config(
-                "server counts must divide evenly across role processes".into(),
-            ));
-        }
+        let ids = IdLayout::new(cfg.indexing_servers, cfg.query_servers, cfg.dispatchers)
+            .sliced(nc.indexing_processes, nc.query_processes)?;
         let cluster = Cluster::new(nc.nodes.max(1));
-        let ix_ids = indexing_ids(cfg.indexing_servers);
-        let qs_ids = query_ids(cfg.query_servers);
-        let disp_ids = dispatcher_ids(cfg.dispatchers);
-        // Same placement order as the embedded builder: query servers
-        // first, then indexing servers.
-        cluster.place_servers_round_robin(qs_ids.iter().copied());
-        cluster.place_servers_round_robin(ix_ids.iter().copied());
-        Ok(Self {
-            cfg,
-            cluster,
-            ix_ids,
-            qs_ids,
-            disp_ids,
-            ix_procs,
-            qs_procs,
-        })
-    }
-
-    /// The indexing-server ids process `p` hosts.
-    fn hosted_ix(&self, p: usize) -> Vec<ServerId> {
-        slice_ids(&self.ix_ids, p, self.ix_procs)
-    }
-
-    /// The query-server ids process `p` hosts.
-    fn hosted_qs(&self, p: usize) -> Vec<ServerId> {
-        slice_ids(&self.qs_ids, p, self.qs_procs)
+        ids.place(&cluster);
+        Ok(Self { cfg, cluster, ids })
     }
 }
 
-/// Builds the client transport with the peer map routing every server id
-/// to the process hosting it.
-fn peer_transport(nc: &NodeConfig, layout: &Layout) -> Arc<TcpTransport> {
-    let t = Arc::new(TcpTransport::with_options(
-        Arc::new(WireStats::default()),
-        waterwheel_net::TcpClientOptions {
-            reactor_threads: layout.cfg.net_reactor_threads,
-            pool_idle_timeout: layout.cfg.net_pool_idle_timeout,
-            pool_max_connections: layout.cfg.net_pool_max_connections,
-        },
-    ));
-    route_peers(&t, &nc.peers, layout);
-    t
-}
-
-fn route_peers(t: &TcpTransport, peers: &[(Role, usize, SocketAddr)], layout: &Layout) {
+/// Routes every server id to the process hosting it, from a peer map of
+/// `(role, proc_index, addr)` — the one routing rule node processes and
+/// cluster clients share.
+pub(crate) fn route_peers(t: &TcpTransport, peers: &[(Role, usize, SocketAddr)], ids: &IdLayout) {
     for &(role, idx, addr) in peers {
         match role {
             Role::Meta => t.add_peer(META_SERVER, addr),
-            Role::Indexing => t.add_peers(layout.hosted_ix(idx), addr),
-            Role::Query => t.add_peers(layout.hosted_qs(idx), addr),
+            Role::Indexing => t.add_peers(ids.hosted_indexing(idx), addr),
+            Role::Query => t.add_peers(ids.hosted_query(idx), addr),
             Role::Dispatcher => {
-                t.add_peers(layout.disp_ids.iter().copied(), addr);
+                t.add_peers(ids.dispatchers.iter().copied(), addr);
                 t.add_peer(COORDINATOR, addr);
             }
         }
     }
 }
 
-/// Installs freshly announced `(server id, address)` routes on this
-/// process's shared transport — how an already-running process learns
-/// about servers that joined after it launched.
-fn add_wire_peers(t: &TcpTransport, peers: &[(ServerId, String)]) -> Result<()> {
-    for (id, addr) in peers {
-        let addr: SocketAddr = addr.parse().map_err(|_| {
-            WwError::InvalidState(format!("unparseable announced peer address {addr:?}"))
-        })?;
-        t.add_peer(*id, addr);
-    }
-    Ok(())
-}
-
-/// Receiver-side dedup for retried ingest batches, mirroring the embedded
-/// system's exactly-once contract: a `(src, dst)` link's batch sequence
-/// numbers land at most once.
-struct BatchDedup {
-    last_seq: Mutex<HashMap<(ServerId, ServerId), u64>>,
-}
-
-impl BatchDedup {
-    fn new() -> Self {
-        Self {
-            last_seq: Mutex::new(HashMap::new()),
+/// Wraps a role handler so this process also learns the routes of
+/// servers that joined after it launched (`RegisterPeers`) — the one
+/// place that verb is handled.
+fn learning_peers(
+    transport: &Arc<TcpTransport>,
+    handler: impl Fn(&Envelope) -> Result<Response> + Send + Sync + 'static,
+) -> impl Fn(&Envelope) -> Result<Response> + Send + Sync + 'static {
+    let transport = Arc::clone(transport);
+    move |env| match &env.payload {
+        Request::RegisterPeers { peers } => {
+            for (id, addr) in peers {
+                let addr: SocketAddr = addr.parse().map_err(|_| {
+                    WwError::InvalidState(format!("unparseable announced peer address {addr:?}"))
+                })?;
+                transport.add_peer(*id, addr);
+            }
+            Ok(Response::Ack)
         }
-    }
-
-    /// Seeds the dedup table from recovered WAL markers: a restarted
-    /// indexing process must recognise redeliveries of batches whose
-    /// append was durable before the crash but whose ack was lost.
-    fn seed(&self, src: ServerId, dst: ServerId, seq: u64) {
-        let mut last = self.last_seq.lock();
-        let e = last.entry((src, dst)).or_insert(seq);
-        *e = (*e).max(seq);
-    }
-
-    fn apply_once(
-        &self,
-        src: ServerId,
-        dst: ServerId,
-        seq: u64,
-        apply: impl FnOnce() -> Result<()>,
-    ) -> Result<bool> {
-        let mut last = self.last_seq.lock();
-        if last.get(&(src, dst)).is_some_and(|&l| seq <= l) {
-            return Ok(true);
-        }
-        apply()?;
-        last.insert((src, dst), seq);
-        Ok(false)
+        _ => handler(env),
     }
 }
 
-/// Spawns the background thread renewing the membership leases of every
-/// server this process hosts (ZooKeeper's ephemeral nodes, §II-B): a
-/// heartbeat per interval while running, a graceful `leave` per server on
-/// clean shutdown. Renewal errors are ignored — if the lease already
-/// lapsed (a long stall), the metadata server has evicted this member and
-/// the operator restarts the process rather than having it fight a
-/// cluster that moved on. Callers hand this a *short-deadline, no-retry*
-/// meta client: a heartbeat that misses one interval is harmless, and the
-/// farewell `leave` must not stall process teardown when the metadata
-/// server is already gone.
-fn spawn_lease_keeper(
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
-    stop: &Arc<AtomicBool>,
-    meta: MetaClient,
+/// Registers every server this process hosts as a leased member (Fig. 17
+/// dynamic membership) — before the process reports ready, so a launcher
+/// waiting for the ready line can rely on the membership epoch already
+/// covering it — then spawns the thread renewing those leases
+/// (ZooKeeper's ephemeral nodes, §II-B): a heartbeat per interval while
+/// running, a graceful `leave` per server on clean shutdown. Renewal
+/// errors are ignored — if the lease already lapsed (a long stall), the
+/// metadata server has evicted this member and the operator restarts the
+/// process rather than having it fight a cluster that moved on. The
+/// renewals go through `lease_meta`, a *short-deadline, no-retry* client:
+/// a heartbeat that misses one interval is harmless, and the farewell
+/// `leave` must not stall process teardown when the metadata server is
+/// already gone.
+fn join_and_keep_leases(
+    threads: &mut Vec<std::thread::JoinHandle<()>>,
+    running: &Arc<AtomicBool>,
+    layout: &Layout,
+    (meta, lease_meta): (MetaClient, MetaClient),
+    role: MemberRole,
     ids: Vec<ServerId>,
-    heartbeat: Duration,
-    ttl: Duration,
-) {
-    let stop = Arc::clone(stop);
-    handles.push(std::thread::spawn(move || {
-        while !stop.load(Ordering::SeqCst) {
+) -> Result<()> {
+    let (heartbeat, ttl) = (layout.cfg.heartbeat_interval, layout.cfg.lease_ttl);
+    for &id in &ids {
+        let node = layout.cluster.node_of(id).unwrap_or(NodeId(0));
+        meta.join(id, role, node, ttl)?;
+    }
+    let running = Arc::clone(running);
+    threads.push(std::thread::spawn(move || {
+        while running.load(Ordering::SeqCst) {
             std::thread::sleep(heartbeat);
             for &id in &ids {
-                let _ = meta.heartbeat(id, ttl);
+                let _ = lease_meta.heartbeat(id, ttl);
             }
         }
         for &id in &ids {
-            let _ = meta.leave(id);
+            let _ = lease_meta.leave(id);
         }
     }));
+    Ok(())
 }
 
 /// Fetches the partition schema from the metadata process (bootstrapped
@@ -492,72 +401,43 @@ fn fetch_schema(meta: &MetaClient) -> Result<PartitionSchema> {
         .ok_or_else(|| WwError::InvalidState("metadata process has no partition schema yet".into()))
 }
 
-/// The gateway side of the live key-range migration state machine
-/// (`Request::MigrateUniform`): rebalance ownership uniformly across the
-/// *current* indexing membership.
-///
-/// Three steps, answers stay byte-exact throughout:
-///
-/// 1. **snapshot ship** — seal every source server's in-memory tree into
-///    chunks; sealed chunks are globally reachable through the shared DFS,
-///    so the new owner serves them without a peer-to-peer copy;
-/// 2. **cut over** — publish the bumped schema to the metadata server
-///    (the durable cut-over record a crashed process recovers from), swap
-///    it into the local dispatchers, and `Reassign` every indexing server
-///    to its new interval. Tuples that raced the swap land on the old
-///    owner and stay queryable from its in-memory overlap (§III-D);
-/// 3. **straggler drain** — flush the sources once more so anything
-///    dual-written during the window is sealed, then refresh the
-///    coordinator's routing table.
-fn migrate_to_uniform(
-    meta: &MetaClient,
-    dispatchers: &[Arc<Dispatcher>],
+/// The gateway's `MigrateUniform` verb: rebalance ownership uniformly
+/// across the *current* indexing membership through the one migration
+/// engine ([`MigrationEngine`]) — snapshot ship, durable migration
+/// records, dual-write install, straggler flush, cut-over. Answers stay
+/// byte-exact throughout.
+fn migrate_uniform(
+    engine: &MigrationEngine<'_>,
     coordinator: &Coordinator,
-    control: &RpcClient,
     fallback_ix: &[ServerId],
 ) -> Result<Response> {
-    let view = meta.membership()?;
+    let view = engine.meta.membership()?;
     let mut ix = view.indexing_ids();
     if ix.is_empty() {
         ix = fallback_ix.to_vec();
     }
-    let old = meta
+    let old = engine
+        .meta
         .partition()?
         .unwrap_or_else(|| PartitionSchema::uniform(&ix));
     let mut schema = PartitionSchema::uniform(&ix);
     schema.version = old.version + 1;
-    let moves = waterwheel_server::diff_moves(&old, &schema);
+    let moves = diff_moves(&old, &schema);
     if moves.is_empty() {
         return Ok(Response::Migrated {
             epoch: view.epoch,
             ranges: 0,
         });
     }
-    for d in dispatchers {
-        d.flush_batches()?;
-    }
-    let sources: BTreeSet<ServerId> = moves.iter().map(|m| m.from).collect();
-    for &src in &sources {
-        dispatchers[0].flush(src)?;
-    }
-    meta.set_partition(schema.clone())?;
-    for d in dispatchers {
-        d.update_schema(schema.clone());
-    }
-    for &id in &ix {
-        if let Some(interval) = schema.interval_of(id) {
-            control
-                .call(id, Request::Reassign { interval })?
-                .into_ack()?;
-        }
-    }
-    for &src in &sources {
-        dispatchers[0].flush(src)?;
-    }
-    let epoch = coordinator.refresh_membership()?;
+    let ranges = moves.len() as u32;
+    engine.run(&MigrationPlan {
+        schema,
+        moves,
+        deviation: 0.0,
+    })?;
     Ok(Response::Migrated {
-        epoch,
-        ranges: moves.len() as u32,
+        epoch: coordinator.refresh_membership()?,
+        ranges,
     })
 }
 
@@ -566,15 +446,16 @@ fn migrate_to_uniform(
 /// [`Request::Shutdown`] lands or the launcher's stdin pipe closes.
 pub fn run_node(nc: NodeConfig) -> Result<()> {
     let layout = Layout::new(&nc)?;
-    let registry = Arc::new(HandlerRegistry::new());
     // Every node process guards its handlers with the same class-aware
     // admission controller the embedded system installs: overload sheds
     // typed `Overloaded` answers instead of queueing without bound.
-    registry.set_admission(Arc::new(waterwheel_server::AdmissionController::new(
-        &layout.cfg,
-    )));
+    let (registry, _admission) = host::registry(&layout.cfg);
     let wire = Arc::new(WireStats::default());
-    let transport = peer_transport(&nc, &layout);
+    let transport = Arc::new(TcpTransport::with_options(
+        Arc::new(WireStats::default()),
+        host::client_options(&layout.cfg),
+    ));
+    route_peers(&transport, &nc.peers, &layout.ids);
     let rpc_for = |src: ServerId| {
         RpcClient::new(
             Arc::clone(&transport) as Arc<dyn Transport>,
@@ -593,52 +474,38 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
         RpcClient::new(Arc::clone(&transport) as Arc<dyn Transport>, src, &cfg)
     };
 
-    let pumps_stop = Arc::new(AtomicBool::new(false));
-    let mut pump_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let running = Arc::new(AtomicBool::new(true));
+    let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let hb = layout.cfg.heartbeat_interval;
 
     match nc.role {
         Role::Meta => {
-            let meta = MetadataService::open_with(
-                nc.root.join("meta.snapshot"),
-                FsyncPolicy::from_flag(layout.cfg.durability_fsync),
-                layout.cfg.wal_segment_bytes,
-            )?;
+            let meta = host::open_meta(&nc.root, &layout.cfg)?;
             // Bootstrap the uniform schema exactly like the embedded
             // builder, so every later-starting role finds it.
-            if meta.partition().is_none() {
-                let mut s = PartitionSchema::uniform(&layout.ix_ids);
-                s.version = 1;
-                meta.set_partition(s)?;
-            }
+            host::bootstrap_schema(&meta, &layout.ids.indexing)?;
             // Lease sweeper: members that stop heartbeating (a kill -9'd
             // process, a partitioned node) are evicted after the TTL and
             // the membership epoch bumps, so routing tables converge on
             // the survivors without operator action.
-            {
-                let meta = meta.clone();
-                let stop = Arc::clone(&pumps_stop);
-                let hb = layout.cfg.heartbeat_interval;
-                let grace = layout.cfg.lease_ttl;
-                pump_handles.push(std::thread::spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(hb);
-                        let _ = meta.expire_lapsed_leases(grace);
-                    }
-                }));
-            }
+            let sweeper = meta.clone();
+            let grace = layout.cfg.lease_ttl;
+            host::spawn_ticker(&mut threads, &running, hb, move || {
+                let _ = sweeper.expire_lapsed_leases(grace);
+            });
             serve_meta(&registry, meta);
         }
         Role::Indexing => {
-            let hosted = layout.hosted_ix(nc.proc_index);
+            let hosted = layout.ids.hosted_indexing(nc.proc_index);
             // The §V durability boundary: the ingest queue is a WAL under
             // the node root. Acked batches commit (marker + tuples in one
             // frame) before the ack leaves, so a kill -9 after the ack
             // cannot lose them — the restarted process replays this log
-            // from each server's durable offset. Each indexing process
-            // owns its own queue directory (partition files must not be
-            // shared across processes); the first keeps the legacy "mq"
-            // name so single-process stores recover across upgrades.
-            let policy = FsyncPolicy::from_flag(layout.cfg.durability_fsync);
+            // (and with it the exactly-once markers) from each server's
+            // durable offset. Each indexing process owns its own queue
+            // directory (partition files must not be shared across
+            // processes); the first keeps the legacy "mq" name so
+            // single-process stores recover across upgrades.
             let mq_dir = if nc.proc_index == 0 {
                 "mq".to_string()
             } else {
@@ -646,213 +513,111 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             };
             let mq = MessageQueue::durable_with(
                 nc.root.join(mq_dir),
-                policy,
+                FsyncPolicy::from_flag(layout.cfg.durability_fsync),
                 layout.cfg.wal_segment_bytes,
             )?;
-            mq.create_topic(INGEST_TOPIC, layout.cfg.indexing_servers)?;
-            let dfs = SimDfs::new(
-                nc.root.join("chunks"),
-                layout.cluster.clone(),
-                layout.cfg.dfs_replication.min(nc.nodes.max(1)),
+            mq.create_topic(host::INGEST_TOPIC, layout.cfg.indexing_servers)?;
+            let dfs = host::open_dfs(
+                &nc.root,
+                &layout.cluster,
+                &layout.cfg,
+                nc.nodes,
                 LatencyModel::default(),
-            )?
-            .with_fsync(policy);
+            )?;
             let meta = MetaClient::new(rpc_for(hosted[0]));
             let schema = fetch_schema(&meta)?;
             let attrs = Arc::new(AttrRegistry::new());
             register_well_known_attrs(&attrs);
-            let dedup = Arc::new(BatchDedup::new());
+            let mut servers = Vec::with_capacity(hosted.len());
             for &id in &hosted {
-                // Global queue-partition index: indexing ids are `0..n`,
-                // so the raw id doubles as the partition number even when
-                // this process hosts only a slice of them.
-                let i = id.raw() as usize;
-                // A server joining an elastic cluster may not be in the
-                // published schema yet — it owns nothing until the first
-                // `MigrateUniform` cut-over reassigns it, so any
-                // placeholder interval works; `full()` keeps the template
-                // tree's fan-out shape sensible.
-                let interval = schema.interval_of(id).unwrap_or_else(KeyInterval::full);
                 // Recovery: resume consuming at the offset the last chunk
-                // registration persisted, and remember which batch
-                // sequence numbers already landed in the WAL.
-                let offset = meta.durable_offset(id)?;
-                for (src, seq) in mq.recovered_seqs(INGEST_TOPIC, i)? {
-                    dedup.seed(ServerId(src), id, seq);
-                }
-                let server = Arc::new(IndexingServer::new(
+                // registration persisted.
+                servers.push(host::open_indexing_server(
                     id,
-                    interval,
-                    layout.cfg.clone(),
-                    Consumer::new(mq.clone(), INGEST_TOPIC, i, offset),
-                    dfs.clone(),
-                    MetaClient::new(rpc_for(id)),
+                    Some(&schema),
+                    meta.durable_offset(id)?,
+                    &layout.cfg,
+                    &mq,
+                    &dfs,
+                    rpc_for(id),
+                    &attrs,
                 ));
-                server.set_attr_registry(Arc::clone(&attrs));
-                // Background pump: the Storm executor keeping freshly
-                // queued tuples queryable without waiting for a flush.
-                {
-                    let server = Arc::clone(&server);
-                    let stop = Arc::clone(&pumps_stop);
-                    pump_handles.push(std::thread::spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            match server.pump(1_024) {
-                                Ok(0) | Err(_) => {
-                                    std::thread::sleep(std::time::Duration::from_millis(1))
-                                }
-                                Ok(_) => {}
-                            }
-                        }
-                    }));
-                }
-                let mq = mq.clone();
-                let dedup = Arc::clone(&dedup);
-                let transport = Arc::clone(&transport);
-                registry.bind(id, move |env| match &env.payload {
-                    Request::Ingest { tuple } => {
-                        // Single-tuple ingest has no batch marker; force
-                        // the record out of process buffers before acking
-                        // so a kill -9 cannot take it back.
-                        mq.append(INGEST_TOPIC, i, tuple.clone())?;
-                        mq.sync()?;
-                        Ok(Response::Ack)
-                    }
-                    Request::IngestBatch { seq, tuples } => {
-                        // Marker + tuples land as one atomic WAL frame,
-                        // committed before the ack: the durability point
-                        // of the exactly-once contract.
-                        let deduped = dedup.apply_once(env.src, id, *seq, || {
-                            mq.append_batch_from(
-                                INGEST_TOPIC,
-                                i,
-                                env.src.raw(),
-                                *seq,
-                                tuples.to_vec(),
-                            )
-                            .map(|_| ())
-                        })?;
-                        Ok(Response::AckBatch {
-                            tuples: tuples.len() as u32,
-                            deduped,
-                        })
-                    }
-                    Request::Flush => {
-                        // Seal everything queued so far: pump until the
-                        // partition is drained, then flush the tree.
-                        while server.pump(4_096)? > 0 {}
-                        Ok(Response::Flushed(server.flush()?))
-                    }
-                    Request::InMemorySubquery { sq } => {
-                        Ok(Response::Tuples(server.query_in_memory(sq)?))
-                    }
-                    Request::AggregateInMemory { slices, covered } => Ok(Response::Fold(
-                        server.aggregate_in_memory(*slices, covered)?,
-                    )),
-                    Request::Reassign { interval } => {
-                        // Migration cut-over: only the *assigned* interval
-                        // changes; out-of-interval tuples already in memory
-                        // stay queryable until flush (§III-D overlap).
-                        server.reassign(*interval);
-                        Ok(Response::Ack)
-                    }
-                    Request::RegisterPeers { peers } => {
-                        add_wire_peers(&transport, peers)?;
-                        Ok(Response::Ack)
-                    }
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState(
-                        "unsupported request for an indexing server".into(),
-                    )),
-                });
             }
-            // Dynamic membership (Fig. 17): every hosted server registers
-            // under a heartbeat lease before this process reports ready,
-            // so a launcher that waits for the ready line can rely on the
-            // membership epoch already covering it.
-            for &id in &hosted {
-                let node = layout.cluster.node_of(id).unwrap_or(NodeId(0));
-                meta.join(id, MemberRole::Indexing, node, layout.cfg.lease_ttl)?;
+            let slots: IndexingSlots = Arc::new(RwLock::new(servers));
+            for (pos, &id) in hosted.iter().enumerate() {
+                threads.push(host::spawn_pump(
+                    Arc::clone(&slots),
+                    pos,
+                    Arc::clone(&running),
+                ));
+                registry.bind(
+                    id,
+                    learning_peers(
+                        &transport,
+                        host::indexing_handler(Arc::clone(&slots), pos, id, mq.clone()),
+                    ),
+                );
             }
-            spawn_lease_keeper(
-                &mut pump_handles,
-                &pumps_stop,
-                MetaClient::new(lease_rpc_for(hosted[0])),
-                hosted.clone(),
-                layout.cfg.heartbeat_interval,
-                layout.cfg.lease_ttl,
-            );
+            join_and_keep_leases(
+                &mut threads,
+                &running,
+                &layout,
+                (meta, MetaClient::new(lease_rpc_for(hosted[0]))),
+                MemberRole::Indexing,
+                hosted,
+            )?;
         }
         Role::Query => {
-            let hosted = layout.hosted_qs(nc.proc_index);
-            let dfs = SimDfs::new(
-                nc.root.join("chunks"),
-                layout.cluster.clone(),
-                layout.cfg.dfs_replication.min(nc.nodes.max(1)),
+            let hosted = layout.ids.hosted_query(nc.proc_index);
+            let dfs = host::open_dfs(
+                &nc.root,
+                &layout.cluster,
+                &layout.cfg,
+                nc.nodes,
                 LatencyModel::default(),
             )?;
             for &id in &hosted {
                 let node = layout.cluster.node_of(id).unwrap_or(NodeId(0));
                 let qs = Arc::new(QueryServer::with_config(id, node, dfs.clone(), &layout.cfg));
-                let transport = Arc::clone(&transport);
-                registry.bind(id, move |env| match &env.payload {
-                    Request::ChunkSubquery {
-                        sq,
-                        chunk,
-                        leaf_filter,
-                    } => Ok(Response::Tuples(qs.execute_filtered(
-                        sq,
-                        *chunk,
-                        leaf_filter.as_ref(),
-                    )?)),
-                    Request::ReadSummary { chunk } => {
-                        Ok(Response::Summary(qs.read_summary(*chunk)?))
-                    }
-                    Request::RegisterPeers { peers } => {
-                        add_wire_peers(&transport, peers)?;
-                        Ok(Response::Ack)
-                    }
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState(
-                        "unsupported request for a query server".into(),
-                    )),
-                });
+                registry.bind(id, learning_peers(&transport, host::query_handler(qs)));
             }
-            let meta = MetaClient::new(rpc_for(hosted[0]));
-            for &id in &hosted {
-                let node = layout.cluster.node_of(id).unwrap_or(NodeId(0));
-                meta.join(id, MemberRole::Query, node, layout.cfg.lease_ttl)?;
-            }
-            spawn_lease_keeper(
-                &mut pump_handles,
-                &pumps_stop,
-                MetaClient::new(lease_rpc_for(hosted[0])),
-                hosted.clone(),
-                layout.cfg.heartbeat_interval,
-                layout.cfg.lease_ttl,
-            );
+            join_and_keep_leases(
+                &mut threads,
+                &running,
+                &layout,
+                (
+                    MetaClient::new(rpc_for(hosted[0])),
+                    MetaClient::new(lease_rpc_for(hosted[0])),
+                ),
+                MemberRole::Query,
+                hosted,
+            )?;
         }
         Role::Dispatcher => {
-            let meta = MetaClient::new(rpc_for(layout.disp_ids[0]));
+            let disp_ids = layout.ids.dispatchers.clone();
+            let meta = MetaClient::new(rpc_for(disp_ids[0]));
             let schema = fetch_schema(&meta)?;
+            // This process cannot read the queues holding its predecessor's
+            // batch markers, so it numbers from the clock in microseconds:
+            // a predecessor sent far fewer than one batch per microsecond.
+            let seq_base = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |d| d.as_micros() as u64);
             let dispatchers: Arc<Vec<Arc<Dispatcher>>> = Arc::new(
-                layout
-                    .disp_ids
+                disp_ids
                     .iter()
                     .map(|&id| {
-                        Arc::new(Dispatcher::new(
-                            id,
-                            rpc_for(id),
-                            schema.clone(),
-                            &layout.cfg,
-                        ))
+                        let d = Dispatcher::new(id, rpc_for(id), schema.clone(), &layout.cfg);
+                        Arc::new(d.with_seq_base(seq_base))
                     })
                     .collect(),
             );
-            let gateway_dedup = Arc::new(BatchDedup::new());
-            let ix_ids = layout.ix_ids.clone();
-            for (i, &id) in layout.disp_ids.iter().enumerate() {
+            let ix_ids = layout.ids.indexing.clone();
+            for (i, &id) in disp_ids.iter().enumerate() {
                 let dispatchers = Arc::clone(&dispatchers);
-                let dedup = Arc::clone(&gateway_dedup);
+                // The client-facing gateway has no queue of its own, so it
+                // keeps its per-client exactly-once table here.
+                let seqs = Mutex::new(SeqTable::default());
                 let ix_ids = ix_ids.clone();
                 let meta = meta.clone();
                 registry.bind(id, move |env| match &env.payload {
@@ -861,12 +626,14 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                         Ok(Response::Ack)
                     }
                     Request::IngestBatch { seq, tuples } => {
-                        let deduped = dedup.apply_once(env.src, id, *seq, || {
+                        let mut seqs = seqs.lock();
+                        let deduped = seqs.is_duplicate(env.src.raw(), *seq);
+                        if !deduped {
                             for t in tuples.iter() {
                                 dispatchers[i].dispatch(t.clone())?;
                             }
-                            Ok(())
-                        })?;
+                            seqs.record(env.src.raw(), *seq);
+                        }
                         Ok(Response::AckBatch {
                             tuples: tuples.len() as u32,
                             deduped,
@@ -902,8 +669,8 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             let coordinator = Arc::new(Coordinator::new(
                 rpc_for(COORDINATOR),
                 layout.cluster.clone(),
-                layout.qs_ids.clone(),
-                layout.ix_ids.clone(),
+                layout.ids.query.clone(),
+                layout.ids.indexing.clone(),
                 layout.cfg.dfs_replication.min(nc.nodes.max(1)),
                 DispatchPolicy::Lada,
                 layout.cfg.clone(),
@@ -916,58 +683,52 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             {
                 let coordinator = Arc::clone(&coordinator);
                 let dispatchers = Arc::clone(&dispatchers);
-                let meta = meta.clone();
                 let control = rpc_for(COORDINATOR);
-                let transport = Arc::clone(&transport);
-                let fallback_ix = layout.ix_ids.clone();
-                registry.bind(COORDINATOR, move |env| match &env.payload {
-                    Request::ClientQuery {
-                        keys,
-                        times,
-                        attr_eq,
-                    } => {
-                        let mut q = Query::range(*keys, *times);
-                        if let Some((attr, value)) = attr_eq {
-                            q = q.and_attr_eq(*attr, *value);
+                let meta = MetaClient::new(control.clone());
+                let stats = MigrationStats::default();
+                let fallback_ix = layout.ids.indexing.clone();
+                registry.bind(
+                    COORDINATOR,
+                    learning_peers(&transport, move |env| match &env.payload {
+                        Request::ClientQuery {
+                            keys,
+                            times,
+                            attr_eq,
+                        } => {
+                            let mut q = Query::range(*keys, *times);
+                            if let Some((attr, value)) = attr_eq {
+                                q = q.and_attr_eq(*attr, *value);
+                            }
+                            Ok(Response::Query(coordinator.execute(&q)?))
                         }
-                        Ok(Response::Query(coordinator.execute(&q)?))
-                    }
-                    Request::ClientAggregate { keys, times, kind } => {
-                        let aq = Query::range(*keys, *times).aggregate(*kind);
-                        Ok(Response::Aggregate(coordinator.execute_aggregate(&aq)?))
-                    }
-                    Request::RegisterPeers { peers } => {
-                        add_wire_peers(&transport, peers)?;
-                        Ok(Response::Ack)
-                    }
-                    Request::MigrateUniform => migrate_to_uniform(
-                        &meta,
-                        &dispatchers,
-                        &coordinator,
-                        &control,
-                        &fallback_ix,
-                    ),
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState(
-                        "unsupported request for the coordinator".into(),
-                    )),
-                });
+                        Request::ClientAggregate { keys, times, kind } => {
+                            let aq = Query::range(*keys, *times).aggregate(*kind);
+                            Ok(Response::Aggregate(coordinator.execute_aggregate(&aq)?))
+                        }
+                        Request::MigrateUniform => migrate_uniform(
+                            &MigrationEngine {
+                                meta: &meta,
+                                control: &control,
+                                dispatchers: &dispatchers,
+                                stats: &stats,
+                            },
+                            &coordinator,
+                            &fallback_ix,
+                        ),
+                        Request::Ping => Ok(Response::Pong),
+                        _ => Err(WwError::InvalidState(
+                            "unsupported request for the coordinator".into(),
+                        )),
+                    }),
+                );
             }
             // Routing freshness: poll the membership epoch at the
             // heartbeat cadence so servers joining (or being evicted)
             // after launch reach the coordinator's routing table without
             // waiting for a query to fail first.
-            {
-                let coordinator = Arc::clone(&coordinator);
-                let stop = Arc::clone(&pumps_stop);
-                let hb = layout.cfg.heartbeat_interval;
-                pump_handles.push(std::thread::spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(hb);
-                        let _ = coordinator.refresh_membership();
-                    }
-                }));
-            }
+            host::spawn_ticker(&mut threads, &running, hb, move || {
+                let _ = coordinator.refresh_membership();
+            });
         }
     }
 
@@ -996,12 +757,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                 Arc::clone(&registry),
                 Arc::clone(&wire),
                 Some(hook),
-                waterwheel_net::TcpServerOptions {
-                    reactor_threads: layout.cfg.net_reactor_threads,
-                    workers: layout.cfg.net_server_workers,
-                    overflow_retry_after: layout.cfg.admission_retry_after,
-                    ..waterwheel_net::TcpServerOptions::default()
-                },
+                host::server_options(&layout.cfg),
             ) {
                 Ok(s) => break s,
                 Err(e) if std::time::Instant::now() >= deadline => return Err(e),
@@ -1033,8 +789,8 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
         stopped = cv.wait(stopped).unwrap();
     }
     drop(stopped);
-    pumps_stop.store(true, Ordering::SeqCst);
-    for h in pump_handles {
+    running.store(false, Ordering::SeqCst);
+    for h in threads {
         let _ = h.join();
     }
     drop(server);
@@ -1051,13 +807,6 @@ mod tests {
             assert_eq!(Role::parse(role.as_str()), Some(role));
         }
         assert_eq!(Role::parse("zookeeper"), None);
-    }
-
-    #[test]
-    fn id_layout_matches_the_embedded_system() {
-        assert_eq!(indexing_ids(2), vec![ServerId(0), ServerId(1)]);
-        assert_eq!(query_ids(1), vec![ServerId(1_000)]);
-        assert_eq!(dispatcher_ids(2), vec![ServerId(2_000), ServerId(2_001)]);
     }
 
     #[test]
@@ -1116,32 +865,5 @@ mod tests {
         ] {
             std::env::remove_var(key);
         }
-    }
-
-    #[test]
-    fn slices_are_contiguous_and_stable_under_growth() {
-        let four = indexing_ids(4);
-        assert_eq!(slice_ids(&four, 0, 2), vec![ServerId(0), ServerId(1)]);
-        assert_eq!(slice_ids(&four, 1, 2), vec![ServerId(2), ServerId(3)]);
-        // Growing 2 → 3 processes (same per-process count) adds a new
-        // slice at the top without moving an existing process's slice.
-        let six = indexing_ids(6);
-        assert_eq!(slice_ids(&six, 0, 3), slice_ids(&four, 0, 2));
-        assert_eq!(slice_ids(&six, 1, 3), slice_ids(&four, 1, 2));
-        assert_eq!(slice_ids(&six, 2, 3), vec![ServerId(4), ServerId(5)]);
-    }
-
-    #[test]
-    fn batch_dedup_mirrors_the_embedded_contract() {
-        let dedup = BatchDedup::new();
-        let (a, b) = (ServerId(5_000), ServerId(2_000));
-        assert!(!dedup.apply_once(a, b, 0, || Ok(())).unwrap());
-        assert!(dedup
-            .apply_once(a, b, 0, || panic!("must not re-apply"))
-            .unwrap());
-        assert!(dedup
-            .apply_once(a, b, 1, || Err(WwError::Injected("boom")))
-            .is_err());
-        assert!(!dedup.apply_once(a, b, 1, || Ok(())).unwrap());
     }
 }

@@ -12,7 +12,7 @@
 //! gateway first, metadata last) with a kill fallback, and dropping the
 //! handle kills anything still running — tests never leak processes.
 
-use crate::runtime::{dispatcher_ids, indexing_ids, query_ids, slice_ids, NodeConfig, Role};
+use crate::runtime::{route_peers, NodeConfig, Role};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -30,6 +30,7 @@ use waterwheel_net::{
     MetaRequest, MetaResponse, Request, Response, RpcClient, TcpTransport, Transport, COORDINATOR,
     META_SERVER,
 };
+use waterwheel_server::host::IdLayout;
 
 /// The source address external clients send from (outside every server
 /// id range).
@@ -98,6 +99,13 @@ impl ClusterSpec {
         }
     }
 
+    /// The id layout every process of this cluster derives.
+    fn layout(&self) -> IdLayout {
+        IdLayout::new(self.indexing_servers, self.query_servers, self.dispatchers)
+            .sliced(self.indexing_processes, self.query_processes)
+            .expect("launchers keep server counts divisible by their processes")
+    }
+
     fn node_config(
         &self,
         role: Role,
@@ -142,27 +150,19 @@ impl ClusterSpec {
         let mut procs: Vec<NodeProc> = Vec::new();
         let mut peers: Vec<(Role, usize, SocketAddr)> = Vec::new();
         for (role, proc_index) in self.launch_order() {
-            let mut cmd = Command::new(binary);
-            cmd.stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit());
-            self.node_config(role, proc_index, peers.clone())
-                .apply_env(&mut cmd);
-            let mut child = cmd.spawn()?;
-            let addr = match read_ready(&mut child) {
-                Ok(addr) => addr,
-                Err(e) => {
-                    // Reap what already started; nothing must outlive a
-                    // failed launch.
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    for mut p in procs {
-                        let _ = p.child.kill();
-                        let _ = p.child.wait();
+            let (child, addr) =
+                match spawn_node(binary, &self.node_config(role, proc_index, peers.clone())) {
+                    Ok(spawned) => spawned,
+                    Err(e) => {
+                        // Reap what already started; nothing must outlive a
+                        // failed launch.
+                        for mut p in procs {
+                            let _ = p.child.kill();
+                            let _ = p.child.wait();
+                        }
+                        return Err(e);
                     }
-                    return Err(e);
-                }
-            };
+                };
             peers.push((role, proc_index, addr));
             procs.push(NodeProc {
                 role,
@@ -177,6 +177,26 @@ impl ClusterSpec {
             binary: binary.to_path_buf(),
             procs,
         })
+    }
+}
+
+/// Spawns one node process from `binary` with `nc`'s environment and
+/// blocks until it reports ready; a child that fails to is killed and
+/// reaped.
+fn spawn_node(binary: &Path, nc: &NodeConfig) -> Result<(Child, SocketAddr)> {
+    let mut cmd = Command::new(binary);
+    cmd.stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit());
+    nc.apply_env(&mut cmd);
+    let mut child = cmd.spawn()?;
+    match read_ready(&mut child) {
+        Ok(addr) => Ok((child, addr)),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(e)
+        }
     }
 }
 
@@ -218,6 +238,14 @@ pub struct ClusterHandle {
 }
 
 impl ClusterHandle {
+    /// The peer map of every running process.
+    fn peers(&self) -> Vec<(Role, usize, SocketAddr)> {
+        self.procs
+            .iter()
+            .map(|p| (p.role, p.proc_index, p.addr))
+            .collect()
+    }
+
     /// The listen address of a role's process.
     pub fn addr(&self, role: Role) -> Option<SocketAddr> {
         self.procs.iter().find(|p| p.role == role).map(|p| p.addr)
@@ -234,11 +262,7 @@ impl ClusterHandle {
     /// probes that expect the cluster to be down want a short one, since
     /// the transport keeps re-connecting until the deadline expires.
     pub fn client_with_timeout(&self, timeout: Duration, retries: u32) -> ClusterClient {
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
+        let peers = self.peers();
         ClusterClient::connect(&self.spec, &peers, timeout, retries)
     }
 
@@ -248,11 +272,7 @@ impl ClusterHandle {
     /// `(client id, dispatcher id)` sequence watermarks, so two threads
     /// sharing one identity would shadow each other's batches.
     pub fn ingest_client(&self, lane: u32) -> ClusterClient {
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
+        let peers = self.peers();
         ClusterClient::connect_as(
             &self.spec,
             &peers,
@@ -299,28 +319,11 @@ impl ClusterHandle {
             .iter()
             .position(|p| p.role == role && p.proc_index == 0)
             .ok_or_else(|| WwError::InvalidState(format!("no {role} process to restart")))?;
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
+        let peers = self.peers();
         let old_addr = self.procs[pos].addr;
         let mut nc = self.spec.node_config(role, 0, peers);
         nc.listen = old_addr.to_string();
-        let mut cmd = Command::new(&self.binary);
-        cmd.stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        nc.apply_env(&mut cmd);
-        let mut child = cmd.spawn()?;
-        let addr = match read_ready(&mut child) {
-            Ok(addr) => addr,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        };
+        let (mut child, addr) = spawn_node(&self.binary, &nc)?;
         if addr != old_addr {
             let _ = child.kill();
             let _ = child.wait();
@@ -342,19 +345,12 @@ impl ClusterHandle {
     /// representative a control RPC (shutdown, flush) addresses to reach
     /// that process.
     fn rep_id(&self, role: Role, proc_index: usize) -> ServerId {
+        let ids = self.spec.layout();
         match role {
             Role::Meta => META_SERVER,
-            Role::Dispatcher => dispatcher_ids(self.spec.dispatchers)[0],
-            Role::Indexing => slice_ids(
-                &indexing_ids(self.spec.indexing_servers),
-                proc_index,
-                self.spec.indexing_processes,
-            )[0],
-            Role::Query => slice_ids(
-                &query_ids(self.spec.query_servers),
-                proc_index,
-                self.spec.query_processes,
-            )[0],
+            Role::Dispatcher => ids.dispatchers[0],
+            Role::Indexing => ids.hosted_indexing(proc_index)[0],
+            Role::Query => ids.hosted_query(proc_index)[0],
         }
     }
 
@@ -372,27 +368,11 @@ impl ClusterHandle {
         let mut grown = self.spec.clone();
         grown.indexing_servers += per;
         grown.indexing_processes += 1;
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
-        let mut cmd = Command::new(&self.binary);
-        cmd.stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        grown
-            .node_config(Role::Indexing, proc_index, peers)
-            .apply_env(&mut cmd);
-        let mut child = cmd.spawn()?;
-        let addr = match read_ready(&mut child) {
-            Ok(addr) => addr,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        };
+        let peers = self.peers();
+        let (child, addr) = spawn_node(
+            &self.binary,
+            &grown.node_config(Role::Indexing, proc_index, peers),
+        )?;
         self.procs.push(NodeProc {
             role: Role::Indexing,
             proc_index,
@@ -405,11 +385,7 @@ impl ClusterHandle {
         // ready; the rest of the cluster just needs routes to the new ids
         // before the rebalance reassigns ownership onto them.
         let client = self.client();
-        let new_ids = slice_ids(
-            &indexing_ids(self.spec.indexing_servers),
-            proc_index,
-            self.spec.indexing_processes,
-        );
+        let new_ids = self.spec.layout().hosted_indexing(proc_index);
         client.register_peers(new_ids.iter().map(|&id| (id, addr.to_string())).collect())?;
         let (epoch, _ranges) = client.migrate_uniform()?;
         Ok(epoch)
@@ -428,11 +404,7 @@ impl ClusterHandle {
         }
         let victim_proc = self.spec.indexing_processes - 1;
         let per = self.spec.indexing_servers / self.spec.indexing_processes;
-        let victim_ids = slice_ids(
-            &indexing_ids(self.spec.indexing_servers),
-            victim_proc,
-            self.spec.indexing_processes,
-        );
+        let victim_ids = self.spec.layout().hosted_indexing(victim_proc);
         let client = self.client();
         // Leases first: the rebalance below reads the live membership, so
         // the victims must be gone from it before ownership is recomputed.
@@ -543,9 +515,7 @@ fn wait_or_kill(child: &mut Child, grace: Duration) -> bool {
 /// down — all over one pooled TCP transport.
 pub struct ClusterClient {
     rpc: RpcClient,
-    disp_ids: Vec<ServerId>,
-    qs_ids: Vec<ServerId>,
-    ix_ids: Vec<ServerId>,
+    ids: IdLayout,
     next: AtomicUsize,
     batch_seq: AtomicU64,
 }
@@ -567,32 +537,16 @@ impl ClusterClient {
         retries: u32,
         src: ServerId,
     ) -> Self {
-        let disp_ids = dispatcher_ids(spec.dispatchers);
-        let qs_ids = query_ids(spec.query_servers);
-        let ix_ids = indexing_ids(spec.indexing_servers);
+        let ids = spec.layout();
         let t = Arc::new(TcpTransport::new());
-        for &(role, idx, addr) in peers {
-            match role {
-                Role::Meta => t.add_peer(META_SERVER, addr),
-                Role::Indexing => {
-                    t.add_peers(slice_ids(&ix_ids, idx, spec.indexing_processes), addr)
-                }
-                Role::Query => t.add_peers(slice_ids(&qs_ids, idx, spec.query_processes), addr),
-                Role::Dispatcher => {
-                    t.add_peers(disp_ids.iter().copied(), addr);
-                    t.add_peer(COORDINATOR, addr);
-                }
-            }
-        }
+        route_peers(&t, peers, &ids);
         let mut cfg = SystemConfig::default();
         cfg.rpc_timeout = timeout;
         cfg.rpc_retries = retries;
         let rpc = RpcClient::new(t as Arc<dyn Transport>, src, &cfg);
         Self {
             rpc,
-            disp_ids,
-            qs_ids,
-            ix_ids,
+            ids,
             next: AtomicUsize::new(0),
             batch_seq: AtomicU64::new(0),
         }
@@ -600,9 +554,10 @@ impl ClusterClient {
 
     /// Ingests one tuple (round-robin across dispatcher processes' ids).
     pub fn insert(&self, tuple: Tuple) -> Result<()> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.disp_ids.len();
+        let disp = &self.ids.dispatchers;
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % disp.len();
         self.rpc
-            .call(self.disp_ids[i], Request::Ingest { tuple })?
+            .call(disp[i], Request::Ingest { tuple })?
             .into_ack()
     }
 
@@ -618,7 +573,8 @@ impl ClusterClient {
     /// own identity).
     pub fn insert_batch(&self, tuples: Vec<Tuple>) -> Result<u32> {
         let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-        let dst = self.disp_ids[seq as usize % self.disp_ids.len()];
+        let disp = &self.ids.dispatchers;
+        let dst = disp[seq as usize % disp.len()];
         let (n, _deduped) = self
             .rpc
             .call(dst, Request::IngestBatch { seq, tuples })?
@@ -629,7 +585,7 @@ impl ClusterClient {
     /// Flushes the whole pipeline: buffered batches, queued tuples, and
     /// in-memory trees all land in chunks before this returns.
     pub fn flush(&self) -> Result<()> {
-        match self.rpc.call(self.disp_ids[0], Request::Flush)? {
+        match self.rpc.call(self.ids.dispatchers[0], Request::Flush)? {
             Response::Flushed(_) => Ok(()),
             _ => Err(WwError::InvalidState(
                 "gateway answered Flush with the wrong variant".into(),
@@ -702,9 +658,9 @@ impl ClusterClient {
     pub fn shutdown_role(&self, role: Role) -> Result<()> {
         let dst = match role {
             Role::Meta => META_SERVER,
-            Role::Indexing => self.ix_ids[0],
-            Role::Query => self.qs_ids[0],
-            Role::Dispatcher => self.disp_ids[0],
+            Role::Indexing => self.ids.indexing[0],
+            Role::Query => self.ids.query[0],
+            Role::Dispatcher => self.ids.dispatchers[0],
         };
         self.shutdown_server(dst)
     }

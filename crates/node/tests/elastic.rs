@@ -258,6 +258,35 @@ fn add_node_migrates_live_with_byte_exact_answers() {
 }
 
 #[test]
+fn add_node_leaves_completed_migration_records() {
+    let root = fresh_root("records");
+    let mut spec = ClusterSpec::new(&root);
+    spec.indexing_servers = 2;
+    spec.indexing_processes = 2;
+    spec.chunk_size_bytes = 32 * 1_024;
+    spec.heartbeat_interval = Duration::from_millis(100);
+    spec.lease_ttl = Duration::from_millis(1_500);
+    let mut cluster = spec.launch(env!("CARGO_BIN_EXE_waterwheel-node")).unwrap();
+    let client = cluster.client();
+    for i in 0..200 {
+        client.insert(tuple_of(i)).unwrap();
+    }
+    cluster.add_node().unwrap();
+    cluster.shutdown().unwrap();
+
+    // The metadata process is gone; its durable snapshot + log hold what
+    // the gateway's migration engine recorded.
+    let meta = waterwheel_meta::MetadataService::open(root.join("meta.snapshot")).unwrap();
+    let migs = meta.migrations();
+    assert!(!migs.is_empty(), "add_node must record its moves durably");
+    assert!(
+        migs.iter().all(|m| m.completed()),
+        "in-flight migration records left behind: {migs:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn drain_node_moves_ownership_before_retiring_the_process() {
     let root = fresh_root("drain");
     let mut spec = ClusterSpec::new(&root);

@@ -9,6 +9,9 @@
 //! those tuples — none lost, none doubled — from the persisted mq offset
 //! and the replayed log.
 //!
+//! A restarted dispatcher process must not lose later inserts either:
+//! the queues still hold its predecessor's batch markers.
+//!
 //! Scale with `WW_RECOVERY_N` (total tuples; CI smoke uses a small value).
 
 use waterwheel_core::{AggregateKind, KeyInterval, TimeInterval, Tuple};
@@ -188,5 +191,32 @@ fn kill_nine_recovery_answers_byte_exactly() {
     );
 
     // Both killed roles were restarted, so the retirement is clean.
+    cluster.shutdown().unwrap();
+}
+
+#[test]
+fn inserts_after_a_dispatcher_restart_all_land() {
+    // The indexing process's queue still holds the killed dispatcher's
+    // batch markers; the restarted dispatcher's batches must not be
+    // dropped against them as redeliveries.
+    let (before, after) = (600u64, 400u64);
+    let mut cluster = ClusterSpec::new(fresh_root("disp-restart"))
+        .launch(env!("CARGO_BIN_EXE_waterwheel-node"))
+        .unwrap();
+    let client = cluster.client();
+    for i in 0..before {
+        client.insert(tuple(i)).unwrap();
+    }
+    client.flush().unwrap();
+    cluster.kill_nine(Role::Dispatcher).unwrap();
+    cluster.restart(Role::Dispatcher).unwrap();
+    for i in before..before + after {
+        client.insert(tuple(i)).unwrap();
+    }
+    client.flush().unwrap();
+    let all = client
+        .query(KeyInterval::full(), TimeInterval::full())
+        .unwrap();
+    assert_eq!(all.tuples.len() as u64, before + after);
     cluster.shutdown().unwrap();
 }

@@ -20,6 +20,8 @@
 //! landed. To keep those numbers meaningful, a destination's batches are
 //! sent strictly in order: a failed batch blocks younger tuples for that
 //! destination until it is delivered.
+//! A rebuilt dispatcher numbers above its predecessor's batches
+//! ([`with_seq_base`](Dispatcher::with_seq_base)).
 //!
 //! **Sampling.** "Each dispatcher samples the key frequencies of its input
 //! stream in a sliding window of a few seconds" — implemented as
@@ -97,7 +99,8 @@ struct DestState {
     /// A batch whose send failed, retried under its original sequence
     /// number before anything younger may leave.
     pending: Option<(u64, Vec<Tuple>)>,
-    /// Next batch sequence number for this destination.
+    /// Next batch sequence number for this destination, counted from the
+    /// dispatcher's base.
     next_seq: u64,
 }
 
@@ -109,6 +112,7 @@ pub struct Dispatcher {
     sampler: Mutex<Sampler>,
     batch_size: usize,
     linger: Duration,
+    seq_base: u64,
     dests: Mutex<HashMap<ServerId, Arc<Mutex<DestState>>>>,
     dispatched: AtomicU64,
     batches_sent: AtomicU64,
@@ -129,6 +133,7 @@ impl Dispatcher {
             }),
             batch_size: cfg.ingest_batch_size.max(1),
             linger: cfg.ingest_linger,
+            seq_base: 0,
             dests: Mutex::new(HashMap::new()),
             dispatched: AtomicU64::new(0),
             batches_sent: AtomicU64::new(0),
@@ -170,6 +175,15 @@ impl Dispatcher {
             .sum()
     }
 
+    /// Numbers every destination's batches from `base` instead of 0: a
+    /// dispatcher rebuilt over queues holding its predecessor's `(src,
+    /// seq)` markers starts above them, or its new batches would be
+    /// dropped as redeliveries.
+    pub fn with_seq_base(mut self, base: u64) -> Self {
+        self.seq_base = base;
+        self
+    }
+
     fn dest_state(&self, dest: ServerId) -> Arc<Mutex<DestState>> {
         Arc::clone(self.dests.lock().entry(dest).or_default())
     }
@@ -185,7 +199,7 @@ impl Dispatcher {
                 }
                 let tuples = std::mem::take(&mut st.buffer);
                 st.first_buffered_at = None;
-                st.pending = Some((st.next_seq, tuples));
+                st.pending = Some((self.seq_base + st.next_seq, tuples));
                 st.next_seq += 1;
             }
             let (seq, tuples) = st.pending.as_ref().expect("pending set above");

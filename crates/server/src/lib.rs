@@ -28,11 +28,15 @@
 //! | §IV-B subquery execution, caching       | [`query_server`] |
 //! | §IV-C LADA + baseline dispatch          | [`dispatch`] |
 //! | Figure 3 topology                       | [`system`] |
+//! | Figure 3 roles, any placement           | [`host`] |
+//! | Fig. 17 live key-range migration        | [`migration`] |
 //!
 //! Every cross-server hop (ingest, flush, subqueries, summary reads,
 //! metadata calls) is a typed RPC on the `waterwheel-net` message plane;
 //! [`Waterwheel::transport`] exposes it for fault injection and per-link
-//! statistics.
+//! statistics. [`host`] is where every deployment shape — this embedded
+//! system and the multi-process `waterwheel-node` runtime — sets up a
+//! role's ids, handlers and pumps.
 
 #![warn(missing_docs)]
 
@@ -41,6 +45,7 @@ pub mod attributes;
 pub mod coordinator;
 pub mod dispatch;
 pub mod dispatcher;
+pub mod host;
 pub mod indexing;
 pub mod metrics;
 pub mod migration;
@@ -55,7 +60,9 @@ pub use dispatch::{build_plan, execute_plan, DispatchPlan, DispatchPolicy, PlanR
 pub use dispatcher::{Dispatcher, SampleWindow};
 pub use indexing::{IndexingServer, IndexingStats};
 pub use metrics::SystemMetrics;
-pub use migration::{diff_moves, MigrationPhase, MigrationPlan, MigrationStats, RangeMove};
+pub use migration::{
+    diff_moves, MigrationEngine, MigrationPhase, MigrationPlan, MigrationStats, RangeMove,
+};
 pub use partitioning::{BalanceOutcome, BalancerStats, PartitionBalancer, PlanOutcome};
 pub use query_server::{QueryServer, QueryServerStats};
 pub use system::{Waterwheel, WaterwheelBuilder};

@@ -20,21 +20,26 @@
 //!    absorbed between steps 1 and 2, and the migration is completed at
 //!    the metadata server, which stamps the cut-over membership epoch.
 //!
-//! Each step is durable at the metadata server ([`MetadataService::
-//! begin_migration`](waterwheel_meta::MetadataService::begin_migration) /
-//! `complete_migration`), so a coordinator restart — or `kill -9` of the
-//! driving process — finds the in-flight record and the overlap window
-//! keeps answers exact until someone finishes the cut-over.
+//! Each move is recorded at the metadata server before anything routes
+//! differently ([`MetaClient::begin_migration`]) and completed after the
+//! straggler flush ([`MetaClient::complete_migration`]), so a coordinator
+//! restart — or `kill -9` of the driving process — finds the in-flight
+//! record and the overlap window keeps answers exact until someone
+//! finishes the cut-over.
 //!
-//! This module holds the *pure* half: plan representation, the old→new
-//! schema diff, phase bookkeeping, and counters. The driving side effects
-//! (flush RPCs, schema pushes, metadata calls) live in
-//! [`Waterwheel::rebalance`](crate::Waterwheel::rebalance) and the node
-//! runtime, which own the handles.
+//! This module is the one migration engine: the plan, the old→new schema
+//! diff, counters, and [`MigrationEngine`], which runs a plan using only a
+//! [`MetaClient`], the dispatchers, and the `Flush`/`Reassign` control
+//! RPCs. [`Waterwheel::rebalance`](crate::Waterwheel::rebalance) and the
+//! node gateway's `MigrateUniform` verb both run it.
 
+use crate::dispatcher::Dispatcher;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use waterwheel_core::{Key, KeyInterval, ServerId};
+use std::sync::Arc;
+use waterwheel_core::{Key, KeyInterval, Result, ServerId, WwError};
 use waterwheel_meta::PartitionSchema;
+use waterwheel_net::{MetaClient, Request, RpcClient};
 
 /// One planned ownership move: `keys` leaves `from` for `to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,6 +100,73 @@ impl MigrationStats {
     /// Records a completed cut-over.
     pub fn record_completed(&self) {
         self.completed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The handles that drive a [`MigrationPlan`] — identical on every
+/// deployment shape.
+pub struct MigrationEngine<'a> {
+    /// Metadata stub: durable migration records and schema publication.
+    pub meta: &'a MetaClient,
+    /// Control-plane client for the `Flush` and `Reassign` RPCs.
+    pub control: &'a RpcClient,
+    /// Every dispatcher: buffered batches are pushed before the snapshot
+    /// and the new schema is swapped into each.
+    pub dispatchers: &'a [Arc<Dispatcher>],
+    /// Engine counters.
+    pub stats: &'a MigrationStats,
+}
+
+impl MigrationEngine<'_> {
+    /// Runs `plan` through the live-migration state machine. Queries keep
+    /// answering exactly throughout — the §III-D overlap window covers
+    /// tuples the old owners still hold.
+    pub fn run(&self, plan: &MigrationPlan) -> Result<()> {
+        let sources: BTreeSet<ServerId> = plan.moves.iter().map(|m| m.from).collect();
+        // Snapshot ship: buffered batches reach the queue, then every
+        // source drains and seals (a `Flush` pumps its partition dry).
+        for d in self.dispatchers {
+            d.flush_batches()?;
+        }
+        self.seal(&sources)?;
+        // Durable intent, before anything routes differently.
+        let mut records = Vec::with_capacity(plan.moves.len());
+        for m in &plan.moves {
+            records.push(self.meta.begin_migration(m.keys, m.from, m.to)?);
+        }
+        self.stats.record_started(plan.moves.len() as u64);
+        // Dual write: metadata server, dispatchers, indexing assignments.
+        self.meta.set_partition(plan.schema.clone())?;
+        for d in self.dispatchers {
+            d.update_schema(plan.schema.clone());
+        }
+        for e in &plan.schema.entries {
+            let interval = e.interval;
+            self.control
+                .call(e.server, Request::Reassign { interval })?
+                .into_ack()?;
+        }
+        // Straggler flush closes the overlap; completion stamps the
+        // cut-over epoch on each record.
+        self.seal(&sources)?;
+        for id in records {
+            self.meta.complete_migration(id)?;
+        }
+        self.stats.record_completed();
+        Ok(())
+    }
+
+    /// Drains and seals each source through a `Flush` RPC. A crashed
+    /// server answers `Injected` and is skipped: its memory is gone and
+    /// replays on recovery.
+    fn seal(&self, sources: &BTreeSet<ServerId>) -> Result<()> {
+        for &src in sources {
+            match self.control.call(src, Request::Flush) {
+                Ok(_) | Err(WwError::Injected(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 

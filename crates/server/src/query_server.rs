@@ -175,9 +175,6 @@ pub struct QueryServer {
     /// Cache hot v2 leaves in decoded-column form
     /// (`SystemConfig::decoded_column_cache`).
     decoded_cache: bool,
-    /// Use the batched scan kernels (`SystemConfig::vectorized_scan`);
-    /// `false` routes columnar scans through the scalar reference.
-    vectorized: bool,
     /// Per-worker scratch arenas: each subquery checks one out and reuses
     /// its decode/select buffers across every leaf it touches.
     scratch_pool: Mutex<Vec<ScanScratch>>,
@@ -196,25 +193,16 @@ impl QueryServer {
     /// from `cfg` (`cache_capacity_bytes`, `cache_shards`,
     /// `query_io_permits`).
     pub fn with_config(id: ServerId, node: NodeId, dfs: SimDfs, cfg: &SystemConfig) -> Self {
-        Self::with_layout(
+        let mut qs = Self::with_layout(
             id,
             node,
             dfs,
             cfg.cache_capacity_bytes,
             cfg.cache_shards,
             cfg.query_io_permits,
-        )
-        .scan_options(cfg.decoded_column_cache, cfg.vectorized_scan)
-    }
-
-    /// Sets the columnar scan knobs (`decoded_column_cache`,
-    /// `vectorized_scan`); both default to on. Answers never depend on
-    /// either — the equivalence suite holds all four combinations to
-    /// byte-identical results.
-    pub fn scan_options(mut self, decoded_cache: bool, vectorized: bool) -> Self {
-        self.decoded_cache = decoded_cache;
-        self.vectorized = vectorized;
-        self
+        );
+        qs.decoded_cache = cfg.decoded_column_cache;
+        qs
     }
 
     /// Fully explicit constructor (benches and ablations).
@@ -237,7 +225,6 @@ impl QueryServer {
             template_flights: Singleflight::new(),
             summary_flights: Singleflight::new(),
             decoded_cache: true,
-            vectorized: true,
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
@@ -527,8 +514,7 @@ impl QueryServer {
                 .fetch_add(1, Ordering::Relaxed);
             let count = index.leaves[li].count;
             let hits = if self.decoded_cache {
-                let decoded =
-                    Arc::new(DecodedLeaf::decode(image, count, self.vectorized, scratch)?);
+                let decoded = Arc::new(DecodedLeaf::decode(image, count, true, scratch)?);
                 let scanned = decoded.scan(&sq.keys, &sq.times, scratch)?;
                 self.cache.put(
                     BlockKey::Leaf(chunk, li as u32),
@@ -536,14 +522,7 @@ impl QueryServer {
                 );
                 scanned
             } else {
-                columnar::scan_leaf_with(
-                    image,
-                    count,
-                    &sq.keys,
-                    &sq.times,
-                    self.vectorized,
-                    scratch,
-                )?
+                columnar::scan_leaf_with(image, count, &sq.keys, &sq.times, scratch)?
             };
             collect_hits(hits, out);
             Ok(())

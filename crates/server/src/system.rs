@@ -16,83 +16,36 @@
 //! metadata server at its well-known address), and hands each sender an
 //! [`RpcClient`]. Fault injection — loss, latency, partitions, dead nodes —
 //! therefore applies uniformly to ingestion, queries, and metadata traffic;
-//! see [`Waterwheel::transport`].
+//! see [`Waterwheel::transport`]. The ids, handlers and pumps come from
+//! [`crate::host`], the same role host the multi-process node runtime
+//! uses, and [`Waterwheel::rebalance`] runs the one migration engine
+//! ([`MigrationEngine`]).
 
 use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
 use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::Dispatcher;
+use crate::host::{self, IdLayout, IndexingSlots};
 use crate::indexing::IndexingServer;
-use crate::migration::{MigrationPlan, MigrationStats};
+use crate::migration::{MigrationEngine, MigrationStats};
 use crate::partitioning::{BalanceOutcome, PartitionBalancer, PlanOutcome};
 use crate::query_server::QueryServer;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap};
+use parking_lot::RwLock;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use waterwheel_agg::AggregateAnswer;
 use waterwheel_cluster::{Cluster, LatencyModel};
 use waterwheel_core::aggregate::{default_measure, AggregateQuery, MeasureFn};
 use waterwheel_core::{Query, QueryResult, Result, ServerId, SystemConfig, Tuple, WwError};
-use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
-use waterwheel_mq::{Consumer, MessageQueue};
+use waterwheel_meta::{MemberRole, MetadataService};
+use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
-    serve_meta, HandlerRegistry, InProcTransport, MetaClient, Request, Response, RpcClient,
-    RpcTotals, TcpRpcServer, TcpTransport, Transport, WireStats, WireTotals, COORDINATOR,
+    serve_meta, HandlerRegistry, InProcTransport, MetaClient, RpcClient, RpcTotals, TcpRpcServer,
+    TcpTransport, Transport, WireStats, WireTotals, COORDINATOR,
 };
 use waterwheel_storage::SimDfs;
 use waterwheel_wal::FsyncPolicy;
-
-/// Name of the ingestion topic.
-const INGEST_TOPIC: &str = "ingest";
-
-/// Receiver-side dedup for batched ingest. Remembers, per directed
-/// (dispatcher → indexing-server) link, the highest batch sequence number
-/// whose append succeeded. A dispatcher retries a failed batch under its
-/// original number and never sends a younger batch past an undelivered
-/// older one, so `seq <= last` identifies a redelivery whose first attempt
-/// landed with only the ack lost — it is acknowledged without appending
-/// again. This lives beside the queue (not inside an `IndexingServer`) so
-/// it survives server recovery swaps, like the queue itself.
-pub(crate) struct IngestDedup {
-    last_seq: Mutex<HashMap<(ServerId, ServerId), u64>>,
-    drops: AtomicU64,
-}
-
-impl IngestDedup {
-    fn new() -> Self {
-        Self {
-            last_seq: Mutex::new(HashMap::new()),
-            drops: AtomicU64::new(0),
-        }
-    }
-
-    /// Runs `apply` unless `seq` on the `src → dst` link already landed;
-    /// returns whether the batch was recognised as a duplicate. The
-    /// sequence number is recorded only after `apply` succeeds, so a
-    /// failed append stays retryable rather than becoming a silent drop.
-    fn apply_once(
-        &self,
-        src: ServerId,
-        dst: ServerId,
-        seq: u64,
-        apply: impl FnOnce() -> Result<()>,
-    ) -> Result<bool> {
-        let mut last = self.last_seq.lock();
-        if last.get(&(src, dst)).is_some_and(|&l| seq <= l) {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-            return Ok(true);
-        }
-        apply()?;
-        last.insert((src, dst), seq);
-        Ok(false)
-    }
-
-    fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-}
 
 /// Builder for an embedded [`Waterwheel`] deployment.
 pub struct WaterwheelBuilder {
@@ -182,26 +135,19 @@ impl WaterwheelBuilder {
         // seals, metadata log): `durability_fsync` trades power-loss safety
         // for ingest latency, `wal_segment_bytes` bounds log segments and
         // the metadata compaction threshold.
-        let policy = FsyncPolicy::from_flag(self.cfg.durability_fsync);
         let mq = if self.durable_queue {
-            MessageQueue::durable_with(self.root.join("queue"), policy, self.cfg.wal_segment_bytes)?
+            MessageQueue::durable_with(
+                self.root.join("queue"),
+                FsyncPolicy::from_flag(self.cfg.durability_fsync),
+                self.cfg.wal_segment_bytes,
+            )?
         } else {
             MessageQueue::new()
         };
-        mq.create_topic(INGEST_TOPIC, self.cfg.indexing_servers)?;
-        let dfs = SimDfs::new(
-            self.root.join("chunks"),
-            cluster.clone(),
-            self.cfg.dfs_replication.min(self.nodes),
-            self.latency,
-        )?
-        .with_fsync(policy);
+        mq.create_topic(host::INGEST_TOPIC, self.cfg.indexing_servers)?;
+        let dfs = host::open_dfs(&self.root, &cluster, &self.cfg, self.nodes, self.latency)?;
         let meta = if self.durable_meta {
-            MetadataService::open_with(
-                self.root.join("meta.snapshot"),
-                policy,
-                self.cfg.wal_segment_bytes,
-            )?
+            host::open_meta(&self.root, &self.cfg)?
         } else {
             MetadataService::in_memory()
         };
@@ -211,12 +157,8 @@ impl WaterwheelBuilder {
         // transport (default — carries the cluster hook and fault
         // injection) or by a real TCP loopback listener plus a pooled
         // client transport. Handlers never know which plane called them.
-        let registry = Arc::new(HandlerRegistry::new());
+        let (registry, admission) = host::registry(&self.cfg);
         serve_meta(&registry, meta.clone());
-        // Admission guards the registry itself, so every deployment shape
-        // (in-proc, TCP loopback, multi-process nodes) sheds identically.
-        let admission = Arc::new(crate::admission::AdmissionController::new(&self.cfg));
-        registry.set_admission(Arc::clone(&admission) as Arc<dyn waterwheel_net::AdmissionControl>);
         let mut inproc = None;
         let mut wire = None;
         let mut rpc_server = None;
@@ -227,21 +169,10 @@ impl WaterwheelBuilder {
                 Arc::clone(&registry),
                 Arc::clone(&stats),
                 None,
-                waterwheel_net::TcpServerOptions {
-                    reactor_threads: self.cfg.net_reactor_threads,
-                    workers: self.cfg.net_server_workers,
-                    overflow_retry_after: self.cfg.admission_retry_after,
-                    ..waterwheel_net::TcpServerOptions::default()
-                },
+                host::server_options(&self.cfg),
             )?;
-            let tcp = TcpTransport::with_options(
-                Arc::clone(&stats),
-                waterwheel_net::TcpClientOptions {
-                    reactor_threads: self.cfg.net_reactor_threads,
-                    pool_idle_timeout: self.cfg.net_pool_idle_timeout,
-                    pool_max_connections: self.cfg.net_pool_max_connections,
-                },
-            );
+            let tcp =
+                TcpTransport::with_options(Arc::clone(&stats), host::client_options(&self.cfg));
             tcp.set_default_route(Some(server.local_addr()));
             wire = Some(stats);
             rpc_server = Some(server);
@@ -256,129 +187,76 @@ impl WaterwheelBuilder {
         };
         let rpc_for = |src: ServerId| RpcClient::new(Arc::clone(&plane), src, &self.cfg);
 
-        // Server ids: indexing 0.., query 1000.., dispatchers 2000.. .
-        let ix_ids: Vec<ServerId> = (0..self.cfg.indexing_servers as u32)
-            .map(ServerId)
-            .collect();
-        let qs_ids: Vec<ServerId> = (0..self.cfg.query_servers as u32)
-            .map(|i| ServerId(1_000 + i))
-            .collect();
-        let disp_ids: Vec<ServerId> = (0..self.cfg.dispatchers as u32)
-            .map(|i| ServerId(2_000 + i))
-            .collect();
-        // Co-locate servers round-robin across nodes (paper: fixed counts
-        // per node).
-        cluster.place_servers_round_robin(qs_ids.iter().copied());
-        cluster.place_servers_round_robin(ix_ids.iter().copied());
+        let ids = IdLayout::new(
+            self.cfg.indexing_servers,
+            self.cfg.query_servers,
+            self.cfg.dispatchers,
+        );
+        ids.place(&cluster);
 
         // Register every server as a leased member of the cluster: the
         // membership view (and its epoch) is what the coordinator routes
         // by, and what elasticity — joins, drains, lease expiry — mutates
         // at runtime. Re-joining identical members after a restart only
         // renews leases, so epochs stay stable across recoveries.
-        for &id in &ix_ids {
-            let node = cluster.node_of(id).expect("indexing server placed");
-            meta.join(id, MemberRole::Indexing, node, self.cfg.lease_ttl)?;
-        }
-        for &id in &qs_ids {
-            let node = cluster.node_of(id).expect("query server placed");
-            meta.join(id, MemberRole::Query, node, self.cfg.lease_ttl)?;
+        for (tier, role) in [
+            (&ids.indexing, MemberRole::Indexing),
+            (&ids.query, MemberRole::Query),
+        ] {
+            for &id in tier {
+                let node = cluster.node_of(id).expect("server placed");
+                meta.join(id, role, node, self.cfg.lease_ttl)?;
+            }
         }
 
         // Partition schema: recover the durable one or bootstrap uniform.
-        let schema = match meta.partition() {
-            Some(s) => s,
-            None => {
-                let mut s = PartitionSchema::uniform(&ix_ids);
-                s.version = 1;
-                meta.set_partition(s.clone())?;
-                s
-            }
-        };
-        let dispatchers: Vec<Arc<Dispatcher>> = disp_ids
+        let schema = host::bootstrap_schema(&meta, &ids.indexing)?;
+        // Each dispatcher numbers its batches above the markers a durable
+        // queue replayed from its previous incarnation.
+        let partitions = mq.partition_count(host::INGEST_TOPIC)?;
+        let dispatchers = ids
+            .dispatchers
             .iter()
-            .map(|&id| Arc::new(Dispatcher::new(id, rpc_for(id), schema.clone(), &self.cfg)))
-            .collect();
-        let ingest_dedup = Arc::new(IngestDedup::new());
-
-        let indexing: Vec<Arc<IndexingServer>> = ix_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                let interval = schema
-                    .interval_of(id)
-                    .expect("schema covers every indexing server");
-                // Recovery: replay from the durable offset.
-                let offset = meta.durable_offset(id);
-                Arc::new(IndexingServer::new(
-                    id,
-                    interval,
-                    self.cfg.clone(),
-                    Consumer::new(mq.clone(), INGEST_TOPIC, i, offset),
-                    dfs.clone(),
-                    MetaClient::new(rpc_for(id)),
-                ))
-            })
-            .collect();
-        let indexing = Arc::new(RwLock::new(indexing));
-
-        // Bind each indexing address. The handler resolves the *current*
-        // instance at call time so it survives recovery swaps; ingest
-        // appends to the queue partition regardless of the server's health
-        // (Kafka accepts writes while a consumer is down — they replay).
-        for (i, &id) in ix_ids.iter().enumerate() {
-            let indexing = Arc::clone(&indexing);
-            let mq = mq.clone();
-            let dedup = Arc::clone(&ingest_dedup);
-            registry.bind(id, move |env| match &env.payload {
-                Request::Ingest { tuple } => {
-                    mq.append(INGEST_TOPIC, i, tuple.clone())?;
-                    Ok(Response::Ack)
-                }
-                Request::IngestBatch { seq, tuples } => {
-                    let deduped = dedup.apply_once(env.src, id, *seq, || {
-                        mq.append_batch(INGEST_TOPIC, i, tuples.iter().cloned())
-                            .map(|_| ())
-                    })?;
-                    Ok(Response::AckBatch {
-                        tuples: tuples.len() as u32,
-                        deduped,
-                    })
-                }
-                other => {
-                    let server = indexing.read().get(i).cloned();
-                    let Some(server) = server else {
-                        return Err(WwError::Unreachable("indexing server removed"));
-                    };
-                    match other {
-                        Request::Flush => {
-                            if server.is_failed() {
-                                return Err(WwError::Injected("indexing server down"));
-                            }
-                            Ok(Response::Flushed(server.flush()?))
-                        }
-                        Request::InMemorySubquery { sq } => {
-                            Ok(Response::Tuples(server.query_in_memory(sq)?))
-                        }
-                        Request::AggregateInMemory { slices, covered } => Ok(Response::Fold(
-                            server.aggregate_in_memory(*slices, covered)?,
-                        )),
-                        Request::Ping => {
-                            if server.is_failed() {
-                                Err(WwError::Injected("indexing server down"))
-                            } else {
-                                Ok(Response::Pong)
-                            }
-                        }
-                        _ => Err(WwError::InvalidState(
-                            "unsupported request for an indexing server".into(),
-                        )),
+            .map(|&id| {
+                let mut base = 0;
+                for p in 0..partitions {
+                    if let Some(last) = mq.last_seq(host::INGEST_TOPIC, p, id.raw())? {
+                        base = base.max(last + 1);
                     }
                 }
-            });
+                let d = Dispatcher::new(id, rpc_for(id), schema.clone(), &self.cfg);
+                Ok(Arc::new(d.with_seq_base(base)))
+            })
+            .collect::<Result<Vec<_>>>()?;
+
+        let attrs = Arc::new(AttrRegistry::new());
+        let indexing: IndexingSlots = Arc::new(RwLock::new(
+            ids.indexing
+                .iter()
+                .map(|&id| {
+                    // Recovery: replay from the durable offset.
+                    host::open_indexing_server(
+                        id,
+                        Some(&schema),
+                        meta.durable_offset(id),
+                        &self.cfg,
+                        &mq,
+                        &dfs,
+                        rpc_for(id),
+                        &attrs,
+                    )
+                })
+                .collect(),
+        ));
+        for (pos, &id) in ids.indexing.iter().enumerate() {
+            registry.bind(
+                id,
+                host::indexing_handler(Arc::clone(&indexing), pos, id, mq.clone()),
+            );
         }
 
-        let query_servers: Vec<Arc<QueryServer>> = qs_ids
+        let query_servers: Vec<Arc<QueryServer>> = ids
+            .query
             .iter()
             .map(|&id| {
                 let node = cluster.node_of(id).expect("query server placed");
@@ -386,40 +264,14 @@ impl WaterwheelBuilder {
             })
             .collect();
         for qs in &query_servers {
-            let qs = Arc::clone(qs);
-            registry.bind(qs.id(), move |env| match &env.payload {
-                Request::ChunkSubquery {
-                    sq,
-                    chunk,
-                    leaf_filter,
-                } => Ok(Response::Tuples(qs.execute_filtered(
-                    sq,
-                    *chunk,
-                    leaf_filter.as_ref(),
-                )?)),
-                Request::ReadSummary { chunk } => Ok(Response::Summary(qs.read_summary(*chunk)?)),
-                Request::Ping => {
-                    if qs.is_failed() {
-                        Err(WwError::Injected("query server down"))
-                    } else {
-                        Ok(Response::Pong)
-                    }
-                }
-                _ => Err(WwError::InvalidState(
-                    "unsupported request for a query server".into(),
-                )),
-            });
+            registry.bind(qs.id(), host::query_handler(Arc::clone(qs)));
         }
 
-        let attrs = Arc::new(AttrRegistry::new());
-        for server in indexing.read().iter() {
-            server.set_attr_registry(Arc::clone(&attrs));
-        }
         let coordinator = Arc::new(Coordinator::new(
             rpc_for(COORDINATOR),
             cluster.clone(),
-            qs_ids,
-            ix_ids,
+            ids.query,
+            ids.indexing,
             dfs.replication(),
             self.policy,
             self.cfg.clone(),
@@ -433,12 +285,12 @@ impl WaterwheelBuilder {
             dfs,
             meta,
             cluster,
+            registry,
             plane,
             inproc,
             wire,
             rpc_server,
             dispatchers,
-            ingest_dedup,
             indexing,
             query_servers,
             coordinator: RwLock::new(coordinator),
@@ -461,13 +313,13 @@ pub struct Waterwheel {
     dfs: SimDfs,
     meta: MetadataService,
     cluster: Cluster,
+    registry: Arc<HandlerRegistry>,
     plane: Arc<dyn Transport>,
     inproc: Option<Arc<InProcTransport>>,
     wire: Option<Arc<WireStats>>,
     rpc_server: Option<TcpRpcServer>,
     dispatchers: Vec<Arc<Dispatcher>>,
-    ingest_dedup: Arc<IngestDedup>,
-    indexing: Arc<RwLock<Vec<Arc<IndexingServer>>>>,
+    indexing: IndexingSlots,
     query_servers: Vec<Arc<QueryServer>>,
     coordinator: RwLock<Arc<Coordinator>>,
     balancer: PartitionBalancer,
@@ -658,7 +510,7 @@ impl Waterwheel {
     /// Redelivered ingest batches the receivers recognised by sequence
     /// number and dropped instead of appending twice.
     pub fn ingest_dedup_drops(&self) -> u64 {
-        self.ingest_dedup.drops()
+        self.mq.dedup_drops()
     }
 
     /// Synchronously pumps every indexing server once; returns tuples moved
@@ -696,44 +548,28 @@ impl Waterwheel {
             return;
         }
         let mut handles = self.pump_handles.lock();
-        let servers = self.indexing.read().clone();
-        for (i, _) in servers.iter().enumerate() {
-            let running = Arc::clone(&self.pumps_running);
-            let indexing = Arc::clone(&self.indexing);
-            handles.push(std::thread::spawn(move || {
-                while running.load(Ordering::SeqCst) {
-                    // Re-read each round so recovery swaps take effect.
-                    let server = {
-                        let servers = indexing.read();
-                        servers.get(i).cloned()
-                    };
-                    let Some(server) = server else { break };
-                    match server.pump(1_024) {
-                        Ok(0) | Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
-                        Ok(_) => {}
-                    }
-                }
-            }));
+        for pos in 0..self.indexing.read().len() {
+            handles.push(host::spawn_pump(
+                Arc::clone(&self.indexing),
+                pos,
+                Arc::clone(&self.pumps_running),
+            ));
         }
         // Linger flusher: partial batches older than `ingest_linger` are
         // pushed out so a trickling stream becomes visible without waiting
         // for a batch to fill. Errors are left for the next round — the
         // failed batch stays pending in its dispatcher.
         if self.cfg.ingest_batch_size > 1 {
-            let running = Arc::clone(&self.pumps_running);
             let dispatchers = self.dispatchers.clone();
             let linger = self
                 .cfg
                 .ingest_linger
                 .max(std::time::Duration::from_millis(1));
-            handles.push(std::thread::spawn(move || {
-                while running.load(Ordering::SeqCst) {
-                    std::thread::sleep(linger);
-                    for d in &dispatchers {
-                        let _ = d.flush_lingering();
-                    }
+            host::spawn_ticker(&mut handles, &self.pumps_running, linger, move || {
+                for d in &dispatchers {
+                    let _ = d.flush_lingering();
                 }
-            }));
+            });
         }
     }
 
@@ -787,64 +623,22 @@ impl Waterwheel {
             PlanOutcome::SkippedDegenerate { deviation } => {
                 Ok(BalanceOutcome::SkippedDegenerate { deviation })
             }
-            PlanOutcome::Plan(plan) => self.migrate(plan),
+            PlanOutcome::Plan(plan) => {
+                let control = RpcClient::new(Arc::clone(&self.plane), COORDINATOR, &self.cfg);
+                MigrationEngine {
+                    meta: &MetaClient::new(control.clone()),
+                    control: &control,
+                    dispatchers: &self.dispatchers,
+                    stats: &self.migration_stats,
+                }
+                .run(&plan)?;
+                let _ = self.coordinator().refresh_membership();
+                Ok(BalanceOutcome::Repartitioned {
+                    version: plan.schema.version,
+                    deviation: plan.deviation,
+                })
+            }
         }
-    }
-
-    /// Executes one [`MigrationPlan`] through the live-migration state
-    /// machine. Separated from [`rebalance`](Self::rebalance) so tests and
-    /// the node runtime can drive hand-built plans (e.g. "rebalance
-    /// uniformly over the grown fleet").
-    pub fn migrate(&self, plan: MigrationPlan) -> Result<BalanceOutcome> {
-        let indexing = self.indexing.read().clone();
-        let sources: BTreeSet<ServerId> = plan.moves.iter().map(|m| m.from).collect();
-
-        // Phase 1 — snapshot ship: push buffered dispatcher batches into
-        // the queue, drain it, and seal every source's in-memory tree to
-        // chunks. Sealed chunks are globally reachable through the DFS, so
-        // the moved ranges' history needs no peer-to-peer copy.
-        self.flush_ingest_batches()?;
-        for &src in &sources {
-            self.drain_one(&indexing, src)?;
-            self.flush_one(src)?;
-        }
-
-        // Phase 2 — record the migration durably before anything routes
-        // differently: a crash from here on leaves typed in-flight records
-        // for an operator (or restart) to finish, never a half-forgotten
-        // move.
-        let mut records = Vec::with_capacity(plan.moves.len());
-        for m in &plan.moves {
-            records.push(self.meta.begin_migration(m.keys, m.from, m.to)?);
-        }
-        self.migration_stats.record_started(plan.moves.len() as u64);
-
-        // Phase 3 — dual write: install the schema at the metadata server,
-        // the dispatchers, and the indexing assignments. Fresh tuples for
-        // a moved range now land on its new owner; tuples the old owner
-        // still holds stay queryable because the metadata server tracks
-        // actual memory regions (§III-D overlap window).
-        self.balancer.install(&plan, &self.dispatchers, &indexing)?;
-
-        // Phase 4 — straggler flush: anything that reached a source
-        // between the snapshot and the install (queued tuples routed under
-        // the old schema) is drained and sealed, closing the overlap.
-        for &src in &sources {
-            self.drain_one(&indexing, src)?;
-            self.flush_one(src)?;
-        }
-
-        // Phase 5 — cut over: completion stamps the membership epoch on
-        // each durable record.
-        for rec in records {
-            self.meta.complete_migration(rec.id)?;
-        }
-        self.migration_stats.record_completed();
-        let _ = self.coordinator().refresh_membership();
-        Ok(BalanceOutcome::Repartitioned {
-            version: plan.schema.version,
-            deviation: plan.deviation,
-        })
     }
 
     /// Migration-engine counters (started, completed, ranges reassigned).
@@ -855,34 +649,6 @@ impl Waterwheel {
     /// The partition balancer (stats, direct rounds).
     pub fn balancer(&self) -> &PartitionBalancer {
         &self.balancer
-    }
-
-    /// Pumps one indexing server until its queue partition is empty, in
-    /// batches bounded by `migration_batch_bytes` (coarsely: assuming
-    /// small tuples, `bytes / 64` tuples per step) so a migration never
-    /// holds a source busy for an unbounded stretch. Crashed servers are
-    /// skipped — their memory is gone and replays on recovery.
-    fn drain_one(&self, indexing: &[Arc<IndexingServer>], id: ServerId) -> Result<()> {
-        let Some(server) = indexing.iter().find(|s| s.id() == id) else {
-            return Ok(());
-        };
-        if server.is_failed() {
-            return Ok(());
-        }
-        let batch = (self.cfg.migration_batch_bytes / 64).max(1);
-        while server.pump(batch)? > 0 {}
-        Ok(())
-    }
-
-    /// Seals one indexing server's in-memory state to chunks through the
-    /// dispatcher control hop; a crashed server is skipped like
-    /// [`flush_all`](Self::flush_all) does.
-    fn flush_one(&self, id: ServerId) -> Result<()> {
-        match self.dispatchers[0].flush(id) {
-            Ok(_) => Ok(()),
-            Err(WwError::Injected(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
     }
 
     /// Renews the membership lease of every live server (the embedded
@@ -951,21 +717,16 @@ impl Waterwheel {
             .iter()
             .position(|s| s.id() == id)
             .ok_or_else(|| WwError::not_found("indexing server", id))?;
-        let offset = self.meta.durable_offset(id);
-        let interval = self
-            .meta
-            .partition()
-            .and_then(|p| p.interval_of(id))
-            .unwrap_or_else(waterwheel_core::KeyInterval::full);
-        let replacement = Arc::new(IndexingServer::new(
+        let replacement = host::open_indexing_server(
             id,
-            interval,
-            self.cfg.clone(),
-            Consumer::new(self.mq.clone(), INGEST_TOPIC, pos, offset),
-            self.dfs.clone(),
-            MetaClient::new(RpcClient::new(Arc::clone(&self.plane), id, &self.cfg)),
-        ));
-        replacement.set_attr_registry(Arc::clone(&self.attrs));
+            self.meta.partition().as_ref(),
+            self.meta.durable_offset(id),
+            &self.cfg,
+            &self.mq,
+            &self.dfs,
+            RpcClient::new(Arc::clone(&self.plane), id, &self.cfg),
+            &self.attrs,
+        );
         replacement.set_measure(self.measure.lock().clone());
         servers[pos] = replacement;
         drop(servers);
@@ -1007,6 +768,10 @@ impl Drop for Waterwheel {
             let _ = d.flush_batches();
         }
         let _ = self.mq.sync();
+        // Handlers own the servers, and the servers own clients of the
+        // plane that owns the registry: unbinding breaks that cycle so a
+        // dropped system frees its memory.
+        self.registry.clear();
     }
 }
 
@@ -1175,28 +940,150 @@ mod tests {
     }
 
     #[test]
-    fn ingest_dedup_drops_redeliveries_but_keeps_failures_retryable() {
-        let dedup = IngestDedup::new();
-        let (disp, ix) = (ServerId(2_000), ServerId(0));
-        assert!(!dedup.apply_once(disp, ix, 0, || Ok(())).unwrap());
-        // Redelivery of an applied seq: apply must not run.
-        let mut ran = false;
-        assert!(dedup
-            .apply_once(disp, ix, 0, || {
-                ran = true;
-                Ok(())
-            })
-            .unwrap());
-        assert!(!ran, "duplicate batch must not be applied again");
-        assert_eq!(dedup.drops(), 1);
-        // A failed apply records nothing: the same seq retries and lands.
-        assert!(dedup
-            .apply_once(disp, ix, 1, || Err(WwError::Injected("disk full")))
-            .is_err());
-        assert!(!dedup.apply_once(disp, ix, 1, || Ok(())).unwrap());
-        // Links are independent: another dispatcher's seq 0 is fresh.
-        assert!(!dedup.apply_once(ServerId(2_001), ix, 0, || Ok(())).unwrap());
-        assert_eq!(dedup.drops(), 1);
+    fn dropping_a_system_frees_its_servers() {
+        let ww = system("drop-frees");
+        for i in 0..100u64 {
+            ww.insert(Tuple::bare(i * 1_000_000, 1_000 + i)).unwrap();
+        }
+        ww.start_pumps();
+        ww.drain().unwrap();
+        let server = Arc::downgrade(&ww.indexing_servers()[0]);
+        drop(ww);
+        assert!(
+            server.upgrade().is_none(),
+            "a dropped system must not keep its indexing servers alive"
+        );
+    }
+
+    #[test]
+    fn durable_queue_drops_batches_redelivered_across_a_restart() {
+        use waterwheel_net::Request;
+        let root = std::env::temp_dir().join(format!("ww-sys-redeliver-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cfg = SystemConfig::default();
+        cfg.indexing_servers = 2;
+        let build = || {
+            Waterwheel::builder(&root)
+                .config(cfg.clone())
+                .durable_queue()
+                .build()
+                .unwrap()
+        };
+        // A producer outside every server id range, so its sequence
+        // numbers share no link with the dispatchers'.
+        let (src, dst) = (ServerId(7_000), ServerId(0));
+        let batch = Request::IngestBatch {
+            seq: 3,
+            tuples: (0..10u64).map(|i| Tuple::bare(i, 1_000 + i)).collect(),
+        };
+        let deliver = |ww: &Waterwheel| {
+            RpcClient::new(Arc::clone(ww.transport()) as Arc<dyn Transport>, src, &cfg)
+                .call(dst, batch.clone())
+                .unwrap()
+                .into_ack_batch()
+                .unwrap()
+        };
+        {
+            let ww = build();
+            assert_eq!(deliver(&ww), (10, false));
+        }
+        // Restart over the same root, then redeliver the batch whose ack
+        // the producer never saw: the replayed queue recognises it.
+        let ww = build();
+        // Nothing was sealed before the restart: the ten tuples survive
+        // only as the replayed, undrained queue tail.
+        assert_eq!(ww.metadata().durable_offset(dst), 0);
+        let before = ww.message_queue().latest_offset("ingest", 0).unwrap();
+        assert_eq!(deliver(&ww), (10, true));
+        assert_eq!(
+            ww.message_queue().latest_offset("ingest", 0).unwrap(),
+            before
+        );
+        assert_eq!(ww.ingest_dedup_drops(), 1);
+        ww.drain().unwrap();
+        let r = ww
+            .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
+            .unwrap();
+        assert_eq!(r.tuples.len(), 10, "redelivered batch appended twice");
+    }
+
+    #[test]
+    fn inserts_after_a_durable_restart_are_not_mistaken_for_redeliveries() {
+        let root = std::env::temp_dir().join(format!("ww-sys-reinsert-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cfg = SystemConfig::default();
+        cfg.indexing_servers = 2;
+        cfg.ingest_batch_size = 8;
+        let build = || {
+            Waterwheel::builder(&root)
+                .config(cfg.clone())
+                .durable_queue()
+                .build()
+                .unwrap()
+        };
+        let insert = |ww: &Waterwheel, from: u64, n: u64| {
+            for i in from..from + n {
+                ww.insert(Tuple::bare(i * 7_919, 1_000 + i)).unwrap();
+            }
+            ww.flush_ingest_batches().unwrap();
+        };
+        {
+            let ww = build();
+            insert(&ww, 0, 400);
+        }
+        // The rebuilt dispatchers start over; their new batches must land,
+        // not be dropped against the replayed markers of the first run.
+        let ww = build();
+        insert(&ww, 400, 240);
+        ww.drain().unwrap();
+        let r = ww
+            .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
+            .unwrap();
+        assert_eq!(r.tuples.len(), 640);
+        assert_eq!(ww.ingest_dedup_drops(), 0);
+    }
+
+    #[test]
+    fn rebalance_under_meta_response_loss_leaves_no_orphaned_migration() {
+        use waterwheel_net::{LinkProfile, META_SERVER};
+        let root = std::env::temp_dir().join(format!("ww-sys-migloss-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cfg = SystemConfig::default();
+        cfg.chunk_size_bytes = 8 * 1024;
+        cfg.indexing_servers = 2;
+        cfg.rpc_retries = 30;
+        let ww = Waterwheel::builder(root).config(cfg).build().unwrap();
+        for i in 0..2_000u64 {
+            ww.insert(Tuple::bare(i * 1_000, 1_000 + i)).unwrap();
+        }
+        ww.drain().unwrap();
+        // Half the metadata answers to the migration engine vanish after
+        // the mutation applied: every `BeginMigration`, `SetPartition` and
+        // `CompleteMigration` may be redelivered.
+        ww.transport().set_link_profile(
+            COORDINATOR,
+            META_SERVER,
+            LinkProfile {
+                response_loss: 0.5,
+                ..LinkProfile::default()
+            },
+        );
+        let out = ww.rebalance().unwrap();
+        assert!(
+            matches!(out, BalanceOutcome::Repartitioned { .. }),
+            "{out:?}"
+        );
+        ww.transport().clear_faults();
+        let migs = ww.metadata().migrations();
+        assert!(!migs.is_empty());
+        assert!(
+            migs.iter().all(|m| m.completed()),
+            "orphaned in-flight migration records: {migs:?}"
+        );
+        let r = ww
+            .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
+            .unwrap();
+        assert_eq!(r.tuples.len(), 2_000);
     }
 
     #[test]

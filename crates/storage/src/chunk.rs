@@ -331,7 +331,7 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     }
     let mut dec = Decoder::new(index_bytes, "chunk");
     let sep_count = dec.get_u32()? as usize;
-    let mut separators = Vec::with_capacity(sep_count);
+    let mut separators = Vec::with_capacity(dec.checked_cap(sep_count, 8));
     for _ in 0..sep_count {
         separators.push(dec.get_u64()?);
     }
