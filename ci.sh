@@ -19,6 +19,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors: stale links to removed names fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> storage arithmetic lint (warn-only: the decode path should prefer checked math)"
 cargo clippy -p waterwheel-storage -- -W clippy::arithmetic_side_effects || true
 

@@ -14,7 +14,6 @@
 //!   (Figure 15: "updates still need to be merged with historical data,
 //!   resulting in significant data merging overhead").
 
-use crate::wal::WriteAheadLog;
 use crate::StreamStore;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -22,6 +21,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use waterwheel_cluster::LatencyModel;
 use waterwheel_core::{Key, KeyInterval, TimeInterval, Timestamp, Tuple};
+use waterwheel_wal::Log;
 
 /// LSM tuning knobs.
 #[derive(Clone, Debug)]
@@ -30,8 +30,8 @@ pub struct LsmConfig {
     pub memtable_limit: usize,
     /// Size-tiered trigger: merge when this many runs share a size tier.
     pub tier_fanout: usize,
-    /// WAL file path.
-    pub wal_path: PathBuf,
+    /// Directory holding the write-ahead log's segments.
+    pub wal_dir: PathBuf,
     /// Per-group-commit remote durability cost (HDFS hflush pipeline /
     /// journal hand-off); zero by default.
     pub wal_commit_latency: std::time::Duration,
@@ -47,8 +47,8 @@ impl Default for LsmConfig {
         Self {
             memtable_limit: 8_192,
             tier_fanout: 4,
-            wal_path: std::env::temp_dir().join(format!(
-                "ww-lsm-{}-{}.wal",
+            wal_dir: std::env::temp_dir().join(format!(
+                "ww-lsm-{}-{}-wal",
                 std::process::id(),
                 // Distinguish multiple stores in one process.
                 NEXT_WAL.fetch_add(1, Ordering::Relaxed)
@@ -93,7 +93,7 @@ struct LsmState {
 /// The HBase-like LSM store.
 pub struct LsmStore {
     cfg: LsmConfig,
-    wal: WriteAheadLog,
+    wal: Log,
     state: RwLock<LsmState>,
     count: AtomicUsize,
     /// Tuples rewritten by compaction — the write-amplification meter.
@@ -105,7 +105,7 @@ pub struct LsmStore {
 impl LsmStore {
     /// Creates a store with the given configuration.
     pub fn new(cfg: LsmConfig) -> waterwheel_core::Result<Self> {
-        let wal = WriteAheadLog::with_commit_latency(&cfg.wal_path, cfg.wal_commit_latency)?;
+        let wal = crate::open_journal(&cfg.wal_dir)?;
         Ok(Self {
             cfg,
             wal,
@@ -200,7 +200,9 @@ impl LsmStore {
 impl StreamStore for LsmStore {
     fn insert(&self, tuple: Tuple) {
         // 1. Journal (HBase acknowledges only after the WAL append).
-        self.wal.append(&tuple).expect("WAL append failed");
+        let n = self.count.fetch_add(1, Ordering::Relaxed) + 1;
+        crate::journal(&self.wal, n, &tuple, self.cfg.wal_commit_latency)
+            .expect("WAL append failed");
         // 2. Memtable insert.
         let flush = {
             let mut state = self.state.write();
@@ -209,7 +211,6 @@ impl StreamStore for LsmStore {
             state.memtable.insert((tuple.key, tuple.ts, seq), tuple);
             state.memtable.len() >= self.cfg.memtable_limit
         };
-        self.count.fetch_add(1, Ordering::Relaxed);
         // 3. Flush + compact when over the threshold.
         if flush {
             self.flush_memtable();

@@ -13,7 +13,6 @@
 //!   tuple of every temporally-qualifying segment;
 //! * every write is journalled (WAL), like Druid's realtime task journal.
 
-use crate::wal::WriteAheadLog;
 use crate::StreamStore;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -21,14 +20,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use waterwheel_cluster::LatencyModel;
 use waterwheel_core::{Key, KeyInterval, TimeInterval, Timestamp, Tuple};
+use waterwheel_wal::Log;
 
 /// TimeStore tuning knobs.
 #[derive(Clone, Debug)]
 pub struct TimeStoreConfig {
     /// Segment width in milliseconds (Druid's `segmentGranularity`).
     pub segment_ms: u64,
-    /// WAL file path.
-    pub wal_path: PathBuf,
+    /// Directory holding the write-ahead log's segments.
+    pub wal_dir: PathBuf,
     /// Per-group-commit remote durability cost (HDFS hflush pipeline /
     /// journal hand-off); zero by default.
     pub wal_commit_latency: std::time::Duration,
@@ -45,8 +45,8 @@ impl Default for TimeStoreConfig {
     fn default() -> Self {
         Self {
             segment_ms: 60_000,
-            wal_path: std::env::temp_dir().join(format!(
-                "ww-timestore-{}-{}.wal",
+            wal_dir: std::env::temp_dir().join(format!(
+                "ww-timestore-{}-{}-wal",
                 std::process::id(),
                 NEXT_WAL.fetch_add(1, Ordering::Relaxed)
             )),
@@ -76,7 +76,7 @@ impl Segment {
 /// The Druid-like time-partitioned store.
 pub struct TimeStore {
     cfg: TimeStoreConfig,
-    wal: WriteAheadLog,
+    wal: Log,
     segments: RwLock<HashMap<u64, Segment>>,
     count: AtomicUsize,
     /// Tuples scanned by queries (key-filter misses included).
@@ -86,7 +86,7 @@ pub struct TimeStore {
 impl TimeStore {
     /// Creates a store with the given configuration.
     pub fn new(cfg: TimeStoreConfig) -> waterwheel_core::Result<Self> {
-        let wal = WriteAheadLog::with_commit_latency(&cfg.wal_path, cfg.wal_commit_latency)?;
+        let wal = crate::open_journal(&cfg.wal_dir)?;
         Ok(Self {
             cfg,
             wal,
@@ -153,14 +153,15 @@ impl TimeStore {
 
 impl StreamStore for TimeStore {
     fn insert(&self, tuple: Tuple) {
-        self.wal.append(&tuple).expect("WAL append failed");
+        let n = self.count.fetch_add(1, Ordering::Relaxed) + 1;
+        crate::journal(&self.wal, n, &tuple, self.cfg.wal_commit_latency)
+            .expect("WAL append failed");
         let seg_id = self.segment_of(tuple.ts);
         self.segments
             .write()
             .entry(seg_id)
             .or_default()
             .insert(tuple);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Range query: prune segments by time, then **full-scan** the

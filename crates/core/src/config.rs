@@ -31,18 +31,10 @@ pub struct SystemConfig {
     /// the mean (paper §III-D: 20 %).
     pub partition_imbalance_threshold: f64,
 
-    /// Width of the sliding window over which dispatchers sample key
-    /// frequencies (paper §III-D: "a few seconds").
-    pub freq_sample_window: Duration,
-
     /// Late-visibility parameter Δt (paper §IV-D): tuples arriving no later
     /// than Δt behind an indexing server's high-water mark stay in the main
     /// tree and remain query-visible via widened region bounds.
     pub late_visibility: Duration,
-
-    /// Tuples later than Δt are diverted to a per-server side store so the
-    /// main chunks keep tight temporal bounds (paper §IV-D).
-    pub side_store_enabled: bool,
 
     /// Number of indexing servers (one per key interval, paper §III-A).
     pub indexing_servers: usize,
@@ -55,14 +47,6 @@ pub struct SystemConfig {
 
     /// Replication factor for chunks in the simulated DFS (HDFS default: 3).
     pub dfs_replication: usize,
-
-    /// Per-file-open latency of the simulated DFS. The paper measures HDFS
-    /// at 2–50 ms per access (§VI-B); tests default to zero.
-    pub dfs_open_latency: Duration,
-
-    /// Simulated DFS read bandwidth in bytes/sec; `None` disables throughput
-    /// modelling (reads cost only the open latency).
-    pub dfs_read_bandwidth: Option<u64>,
 
     /// Query-server cache capacity in bytes (paper §VI: 1 GB per server;
     /// scaled default 64 MB).
@@ -83,12 +67,6 @@ pub struct SystemConfig {
     /// this bound; `1` restores the old all-of-DFS serial lock.
     pub query_io_permits: usize,
 
-    /// Number of time mini-ranges per leaf bloom filter (paper §IV-B).
-    pub bloom_mini_ranges: usize,
-
-    /// Bits per entry in the leaf bloom filters.
-    pub bloom_bits_per_entry: usize,
-
     /// Enable the per-leaf temporal bloom filters (ablation knob).
     pub bloom_enabled: bool,
 
@@ -100,15 +78,6 @@ pub struct SystemConfig {
     /// (1..=16). More slices answer narrower key ranges from summaries at
     /// the cost of more cells per ring.
     pub agg_slice_bits: u8,
-
-    /// Cap on cells per granularity ring in a sealed chunk summary. Rings
-    /// over the cap are dropped finest-first; dropped coverage degrades to
-    /// exact tuple-scan residues, never to approximate answers.
-    pub agg_max_cells_per_ring: usize,
-
-    /// Maintain live wheels and seal chunk summaries (ablation knob; when
-    /// off, aggregate queries fall back to the tuple-scan path end to end).
-    pub agg_summaries_enabled: bool,
 
     /// Tuples per `Request::IngestBatch` envelope on the dispatcher →
     /// indexing hop (paper §VI Fig. 15: ingest throughput comes from
@@ -198,31 +167,6 @@ pub struct SystemConfig {
     /// this bound.
     pub wal_segment_bytes: usize,
 
-    /// On-disk chunk format written at flush: `1` for the row-tuple v1
-    /// layout, `2` for columnar leaves (delta-of-delta timestamps,
-    /// delta/dictionary keys, compressed payload blocks) with per-leaf and
-    /// per-chunk MIN/MAX measure bounds. Readers dispatch on the header
-    /// version, so a store may mix both formats.
-    pub chunk_format_version: u32,
-
-    /// Compress v2 payload blocks (byte-shuffle + LZ, whichever encoding is
-    /// smallest per leaf). Ignored when writing v1 chunks.
-    pub chunk_compression: bool,
-
-    /// Use persisted MIN/MAX measure bounds to skip chunks (coordinator)
-    /// and leaves (query server) that cannot satisfy a query's
-    /// `measure_range` filter. Disabling only loses the pruning, never
-    /// changes answers.
-    pub measure_pruning: bool,
-
-    /// Cache hot v2 leaves with their key/timestamp columns already decoded
-    /// (payload blocks stay compressed): repeated scans skip the varint
-    /// decode entirely. Decoded entries charge their actual resident bytes
-    /// against `cache_capacity_bytes`, so the same budget holds fewer — but
-    /// much faster — leaves. Disabling caches encoded images only; answers
-    /// never change.
-    pub decoded_column_cache: bool,
-
     /// Interval between membership heartbeats a server sends to the meta
     /// service to renew its lease (paper Fig. 17 elasticity: ZooKeeper
     /// ephemeral-node session pings).
@@ -245,26 +189,18 @@ impl Default for SystemConfig {
             leaf_capacity: 64,
             skew_threshold: 0.2,
             partition_imbalance_threshold: 0.2,
-            freq_sample_window: Duration::from_secs(2),
             late_visibility: Duration::from_secs(5),
-            side_store_enabled: true,
             indexing_servers: 2,
             query_servers: 4,
             dispatchers: 2,
             dfs_replication: 3,
-            dfs_open_latency: Duration::ZERO,
-            dfs_read_bandwidth: None,
             cache_capacity_bytes: 64 << 20,
             cache_shards: 8,
             query_workers: 4,
             query_io_permits: 4,
-            bloom_mini_ranges: 64,
-            bloom_bits_per_entry: 10,
             bloom_enabled: true,
             skew_check_interval: 4096,
             agg_slice_bits: 4,
-            agg_max_cells_per_ring: 8192,
-            agg_summaries_enabled: true,
             ingest_batch_size: 128,
             ingest_linger: Duration::from_millis(2),
             rpc_timeout: Duration::from_secs(1),
@@ -281,10 +217,6 @@ impl Default for SystemConfig {
             rpc_redispatch_rounds: 2,
             durability_fsync: true,
             wal_segment_bytes: 8 << 20,
-            chunk_format_version: 2,
-            chunk_compression: true,
-            measure_pruning: true,
-            decoded_column_cache: true,
             heartbeat_interval: Duration::from_millis(500),
             lease_ttl: Duration::from_secs(3),
         }
@@ -292,17 +224,6 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's cluster-scale settings (16 MB chunks, 1 GB cache,
-    /// 2 indexing / 4 query servers and 2 dispatchers per node).
-    pub fn paper_scale() -> Self {
-        Self {
-            chunk_size_bytes: 16 << 20,
-            cache_capacity_bytes: 1 << 30,
-            dfs_open_latency: Duration::from_millis(2),
-            ..Self::default()
-        }
-    }
-
     /// Validates internal consistency; call once at system start.
     pub fn validate(&self) -> Result<(), String> {
         if self.btree_fanout < 2 {
@@ -365,9 +286,6 @@ impl SystemConfig {
         if self.wal_segment_bytes < 4096 {
             return Err("wal_segment_bytes must be at least 4096".into());
         }
-        if !(1..=2).contains(&self.chunk_format_version) {
-            return Err("chunk_format_version must be 1 or 2".into());
-        }
         if self.heartbeat_interval.is_zero() {
             return Err("heartbeat_interval must be positive".into());
         }
@@ -385,14 +303,6 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         SystemConfig::default().validate().unwrap();
-        SystemConfig::paper_scale().validate().unwrap();
-    }
-
-    #[test]
-    fn paper_scale_uses_paper_constants() {
-        let c = SystemConfig::paper_scale();
-        assert_eq!(c.chunk_size_bytes, 16 << 20);
-        assert_eq!(c.cache_capacity_bytes, 1 << 30);
     }
 
     #[test]
@@ -421,8 +331,6 @@ mod tests {
                 c.client_rate_limit = 100;
                 c.client_rate_burst = 0;
             },
-            |c: &mut SystemConfig| c.chunk_format_version = 0,
-            |c: &mut SystemConfig| c.chunk_format_version = 3,
             |c: &mut SystemConfig| c.heartbeat_interval = Duration::ZERO,
             |c: &mut SystemConfig| c.lease_ttl = Duration::from_millis(1),
         ] {

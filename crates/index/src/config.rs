@@ -56,17 +56,8 @@ impl IndexConfig {
             leaf_capacity: sys.leaf_capacity,
             skew_threshold: sys.skew_threshold,
             skew_check_interval: sys.skew_check_interval,
-            bloom: sys.bloom_enabled.then_some(BloomConfig {
-                mini_range_ms: 1_000,
-                bits_per_entry: sys.bloom_bits_per_entry,
-            }),
+            bloom: sys.bloom_enabled.then(BloomConfig::default),
         }
-    }
-
-    /// Disables bloom filters (builder-style, for ablation benches).
-    pub fn without_bloom(mut self) -> Self {
-        self.bloom = None;
-        self
     }
 }
 
@@ -80,13 +71,8 @@ mod tests {
         sys.bloom_enabled = false;
         assert!(IndexConfig::from_system(&sys).bloom.is_none());
         sys.bloom_enabled = true;
-        sys.bloom_bits_per_entry = 12;
         let cfg = IndexConfig::from_system(&sys);
-        assert_eq!(cfg.bloom.unwrap().bits_per_entry, 12);
-    }
-
-    #[test]
-    fn without_bloom_clears_bloom() {
-        assert!(IndexConfig::default().without_bloom().bloom.is_none());
+        assert_eq!(cfg.bloom.unwrap().bits_per_entry, 10);
+        assert_eq!(cfg.bloom.unwrap().mini_range_ms, 1_000);
     }
 }

@@ -14,6 +14,9 @@
 //! a missing chunk) are answers, not delivery failures, and propagate
 //! immediately.
 //!
+//! [`WwError::is_retryable`]: waterwheel_core::WwError::is_retryable
+//! [`WwError::Overloaded`]: waterwheel_core::WwError::Overloaded
+//!
 //! Every completed call (answered or failed) is also recorded in the
 //! transport's per-request-kind latency histograms
 //! ([`RpcStatsRegistry::latency_snapshot`](crate::RpcStatsRegistry)), so
@@ -26,8 +29,7 @@
 //! side effects already happened — at-least-once delivery. Handlers with
 //! side effects must therefore be idempotent; the ingest-batch handler
 //! dedups on the batch sequence number carried in
-//! [`Request::IngestBatch`](crate::Request::IngestBatch) for exactly this
-//! reason.
+//! [`Request::IngestBatch`] for exactly this reason.
 
 use crate::envelope::{Envelope, Request, Response};
 use crate::transport::Transport;

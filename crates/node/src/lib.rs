@@ -22,7 +22,7 @@
 //!
 //! [`ClusterSpec::launch`](spec::ClusterSpec::launch) spawns the four
 //! roles as children of the calling process and returns a
-//! [`ClusterClient`](spec::ClusterClient) speaking the client RPC verbs
+//! [`ClusterClient`] speaking the client RPC verbs
 //! (`Ingest`, `Flush`, `ClientQuery`, `ClientAggregate`, `Shutdown`).
 //! The `waterwheel-node` binary wraps the same runtime behind a CLI, and
 //! its `smoke` subcommand runs a self-contained loopback cluster check.

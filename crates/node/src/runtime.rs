@@ -106,10 +106,6 @@ pub struct NodeConfig {
     /// WAL segment size bounding log files and the metadata compaction
     /// threshold; see `SystemConfig::wal_segment_bytes`.
     pub wal_segment_bytes: usize,
-    /// On-disk chunk format newly flushed chunks are written in; see
-    /// `SystemConfig::chunk_format_version`. Readers dispatch per chunk,
-    /// so a store may legitimately mix versions across restarts.
-    pub chunk_format_version: u32,
     /// How many OS processes share the indexing role. Each hosts a
     /// contiguous `indexing_servers / indexing_processes` slice of the
     /// server ids, so growing the cluster by one process never moves an
@@ -144,7 +140,6 @@ impl NodeConfig {
             chunk_size_bytes: cfg.chunk_size_bytes,
             durability_fsync: cfg.durability_fsync,
             wal_segment_bytes: cfg.wal_segment_bytes,
-            chunk_format_version: cfg.chunk_format_version,
             indexing_processes: 1,
             query_processes: 1,
             proc_index: 0,
@@ -196,12 +191,6 @@ impl NodeConfig {
             Ok(v) => v.parse().map_err(|e| format!("WW_NODE_WAL_SEG: {e}"))?,
             Err(_) => defaults.wal_segment_bytes,
         };
-        let chunk_format_version = match std::env::var("WW_NODE_CHUNK_FORMAT") {
-            Ok(v) => v
-                .parse()
-                .map_err(|e| format!("WW_NODE_CHUNK_FORMAT: {e}"))?,
-            Err(_) => defaults.chunk_format_version,
-        };
         // Elasticity knobs are likewise optional: absent means one process
         // per role and the default lease cadence.
         let opt_num = |k: &str, default: usize| -> std::result::Result<usize, String> {
@@ -235,7 +224,6 @@ impl NodeConfig {
             chunk_size_bytes: num("WW_NODE_CHUNK_BYTES")?,
             durability_fsync,
             wal_segment_bytes,
-            chunk_format_version,
             indexing_processes,
             query_processes,
             proc_index,
@@ -265,10 +253,6 @@ impl NodeConfig {
                 if self.durability_fsync { "1" } else { "0" },
             )
             .env("WW_NODE_WAL_SEG", self.wal_segment_bytes.to_string())
-            .env(
-                "WW_NODE_CHUNK_FORMAT",
-                self.chunk_format_version.to_string(),
-            )
             .env("WW_NODE_IX_PROCS", self.indexing_processes.to_string())
             .env("WW_NODE_QS_PROCS", self.query_processes.to_string())
             .env("WW_NODE_PROC", self.proc_index.to_string())
@@ -298,7 +282,6 @@ impl Layout {
         cfg.chunk_size_bytes = nc.chunk_size_bytes;
         cfg.durability_fsync = nc.durability_fsync;
         cfg.wal_segment_bytes = nc.wal_segment_bytes;
-        cfg.chunk_format_version = nc.chunk_format_version;
         cfg.heartbeat_interval = nc.heartbeat_interval;
         cfg.lease_ttl = nc.lease_ttl;
         // Nested flush RPCs (gateway → indexing pump-until-empty) can
@@ -814,7 +797,6 @@ mod tests {
         let mut nc = NodeConfig::new(Role::Query, "127.0.0.1:0", "/tmp/ww-env");
         nc.durability_fsync = false;
         nc.wal_segment_bytes = 65_536;
-        nc.chunk_format_version = 1;
         nc.peers = vec![
             (Role::Meta, 0, "127.0.0.1:4100".parse().unwrap()),
             (Role::Indexing, 2, "127.0.0.1:4102".parse().unwrap()),
@@ -837,7 +819,6 @@ mod tests {
         assert_eq!(back.indexing_servers, nc.indexing_servers);
         assert_eq!(back.durability_fsync, nc.durability_fsync);
         assert_eq!(back.wal_segment_bytes, nc.wal_segment_bytes);
-        assert_eq!(back.chunk_format_version, nc.chunk_format_version);
         assert_eq!(back.indexing_processes, nc.indexing_processes);
         assert_eq!(back.query_processes, nc.query_processes);
         assert_eq!(back.proc_index, nc.proc_index);
@@ -855,7 +836,6 @@ mod tests {
             "WW_NODE_CHUNK_BYTES",
             "WW_NODE_FSYNC",
             "WW_NODE_WAL_SEG",
-            "WW_NODE_CHUNK_FORMAT",
             "WW_NODE_IX_PROCS",
             "WW_NODE_QS_PROCS",
             "WW_NODE_PROC",

@@ -57,11 +57,6 @@ pub struct ClusterSpec {
     pub durability_fsync: bool,
     /// WAL segment size (`SystemConfig::wal_segment_bytes`).
     pub wal_segment_bytes: usize,
-    /// Chunk format newly flushed chunks are written in
-    /// (`SystemConfig::chunk_format_version`); readers dispatch per
-    /// chunk, so restarting with a different value yields a valid
-    /// mixed-version store.
-    pub chunk_format_version: u32,
     /// OS processes sharing the indexing role; `indexing_servers` must
     /// divide evenly across them. [`ClusterHandle::add_node`] grows this
     /// count live.
@@ -91,7 +86,6 @@ impl ClusterSpec {
             chunk_size_bytes: cfg.chunk_size_bytes,
             durability_fsync: cfg.durability_fsync,
             wal_segment_bytes: cfg.wal_segment_bytes,
-            chunk_format_version: cfg.chunk_format_version,
             indexing_processes: 1,
             query_processes: 1,
             heartbeat_interval: cfg.heartbeat_interval,
@@ -120,7 +114,6 @@ impl ClusterSpec {
         nc.chunk_size_bytes = self.chunk_size_bytes;
         nc.durability_fsync = self.durability_fsync;
         nc.wal_segment_bytes = self.wal_segment_bytes;
-        nc.chunk_format_version = self.chunk_format_version;
         nc.indexing_processes = self.indexing_processes;
         nc.query_processes = self.query_processes;
         nc.proc_index = proc_index;
@@ -298,14 +291,6 @@ impl ClusterHandle {
         p.child.wait()?;
         p.killed = true;
         Ok(())
-    }
-
-    /// Changes the chunk format that processes launched by later
-    /// [`Self::restart`] calls write. Already-sealed chunks keep their
-    /// format — readers dispatch per chunk — so flipping this across a
-    /// restart produces a mixed-version store on purpose.
-    pub fn set_chunk_format_version(&mut self, version: u32) {
-        self.spec.chunk_format_version = version;
     }
 
     /// Respawns a role (after [`Self::kill_nine`]) at its **original

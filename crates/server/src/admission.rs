@@ -21,8 +21,9 @@
 //! Rate-limit sheds hint the time until the next token matures; budget
 //! sheds hint [`SystemConfig::admission_retry_after`].
 //!
-//! The controller implements the net layer's
-//! [`AdmissionControl`] seam, so it guards the [`HandlerRegistry`]
+//! The controller implements the net layer's [`AdmissionControl`] seam,
+//! so it guards the
+//! [`HandlerRegistry`](waterwheel_net::HandlerRegistry)
 //! (`registry.dispatch`) identically for the in-proc transport and the
 //! TCP server's worker pool — one policy, every deployment shape.
 

@@ -94,8 +94,9 @@ pub struct Coordinator {
     /// Secondary-attribute registry shared with the indexing servers.
     attrs: RwLock<Arc<AttrRegistry>>,
     cfg: SystemConfig,
-    /// Ablation knob: when cleared, aggregate queries take the tuple-scan
-    /// path end to end even if summaries exist.
+    /// Ablation switch (and the forced-scan oracle): when cleared,
+    /// aggregate queries take the tuple-scan path end to end even if
+    /// summaries exist.
     summaries_enabled: AtomicBool,
     /// Measure extractor, shared with the indexing servers so summary cells
     /// and scan folds agree.
@@ -130,7 +131,7 @@ impl Coordinator {
             replication,
             policy: RwLock::new(policy),
             attrs: RwLock::new(Arc::new(AttrRegistry::new())),
-            summaries_enabled: AtomicBool::new(cfg.agg_summaries_enabled),
+            summaries_enabled: AtomicBool::new(true),
             cfg,
             measure: RwLock::new(default_measure()),
             next_query: AtomicU64::new(0),
@@ -217,21 +218,15 @@ impl Coordinator {
         let region = query.region();
         let mut out = Vec::new();
         let mut index = 0u32;
-        // The measure range travels on subqueries only as a pruning hint
-        // (bounds checks against stored MIN/MAX); exactness comes from the
-        // folded predicate, so disabling the knob changes no answers.
-        let measure_range = if self.cfg.measure_pruning {
-            query.measure_range
-        } else {
-            None
-        };
         let mut push = |keys, times, target| {
             out.push(SubQuery {
                 id: SubQueryId { query: qid, index },
                 keys,
                 times,
                 predicate: query.predicate.clone(),
-                measure_range,
+                // A pruning hint only (bounds checks against stored
+                // MIN/MAX); exactness comes from the folded predicate.
+                measure_range: query.measure_range,
                 target,
             });
             index += 1;

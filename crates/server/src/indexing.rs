@@ -31,12 +31,18 @@ use waterwheel_core::aggregate::{default_measure, MeasureFn};
 use waterwheel_core::{
     ChunkId, KeyInterval, Region, Result, ServerId, SubQuery, SystemConfig, TimeInterval, Tuple,
 };
+use waterwheel_index::config::BloomConfig;
 use waterwheel_index::secondary::ChunkAttrIndex;
 use waterwheel_index::{IndexConfig, SealedTree, TemplateBTree, TupleIndex};
 use waterwheel_meta::{ChunkInfo, SummaryExtent};
 use waterwheel_mq::Consumer;
 use waterwheel_net::MetaClient;
-use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, SimDfs};
+use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, SimDfs, VERSION_V2};
+
+/// Cap on cells per granularity ring in a sealed chunk summary. Rings over
+/// the cap are dropped finest-first; dropped coverage degrades to exact
+/// tuple-scan residues, never to approximate answers.
+const SUMMARY_MAX_CELLS_PER_RING: usize = 8192;
 
 /// Ingest-side counters.
 #[derive(Debug, Default)]
@@ -140,7 +146,7 @@ impl IndexingServer {
                 .iter()
                 .map(|leaf| leaf.entries.iter().filter_map(|t| extract(t)).collect())
                 .collect();
-            let index = ChunkAttrIndex::build(&leaf_values, self.cfg.bloom_bits_per_entry);
+            let index = ChunkAttrIndex::build(&leaf_values, BloomConfig::default().bits_per_entry);
             self.meta.register_attr_index(chunk, attr, index)?;
         }
         Ok(())
@@ -224,25 +230,20 @@ impl IndexingServer {
     /// wheel lock is taken once for the whole batch, and the side store
     /// and stat counters are touched once at the end.
     fn ingest_batch(&self, tuples: impl IntoIterator<Item = Tuple>) {
-        let measure = self
-            .cfg
-            .agg_summaries_enabled
-            .then(|| self.measure.read().clone());
-        let mut wheel = measure.is_some().then(|| self.wheel.lock());
+        let measure = self.measure.read().clone();
+        let mut wheel = self.wheel.lock();
         let late_limit = self.late_limit_ms();
         let mut ingested = 0u64;
         let mut side = Vec::new();
         let mut side_bytes = 0u64;
         for tuple in tuples {
-            if let (Some(measure), Some(wheel)) = (&measure, wheel.as_mut()) {
-                wheel.insert(tuple.key, tuple.ts, measure(&tuple));
-            }
+            wheel.insert(tuple.key, tuple.ts, measure(&tuple));
             let hw = self
                 .high_water
                 .fetch_max(tuple.ts, Ordering::AcqRel)
                 .max(tuple.ts);
             let late_by = hw.saturating_sub(tuple.ts);
-            if self.cfg.side_store_enabled && late_by > late_limit {
+            if late_by > late_limit {
                 side_bytes += tuple.encoded_len() as u64;
                 side.push(tuple);
             } else {
@@ -336,20 +337,16 @@ impl IndexingServer {
     /// chunk, summary extent, and attribute indexes with metadata.
     fn write_and_register(&self, sealed: &SealedTree, durable_offset: u64) -> Result<ChunkId> {
         let measure = self.measure.read().clone();
-        let summary = if self.cfg.agg_summaries_enabled {
-            let summary = WheelSummary::build(
-                sealed
-                    .leaves
-                    .iter()
-                    .flat_map(|l| l.entries.iter())
-                    .map(|t| (t.key, t.ts, measure(t))),
-                self.cfg.agg_slice_bits,
-                self.cfg.agg_max_cells_per_ring,
-            );
-            (!summary.is_empty()).then_some(summary)
-        } else {
-            None
-        };
+        let summary = WheelSummary::build(
+            sealed
+                .leaves
+                .iter()
+                .flat_map(|l| l.entries.iter())
+                .map(|t| (t.key, t.ts, measure(t))),
+            self.cfg.agg_slice_bits,
+            SUMMARY_MAX_CELLS_PER_RING,
+        );
+        let summary = (!summary.is_empty()).then_some(summary);
         let id = self.meta.allocate_chunk_id()?;
         // The same measure feeds the summary cells and the v2 MIN/MAX
         // bounds, so footer pruning and summary folds agree.
@@ -357,8 +354,8 @@ impl IndexingServer {
             sealed,
             summary.as_ref(),
             &ChunkWriteOptions {
-                format_version: self.cfg.chunk_format_version,
-                compression: self.cfg.chunk_compression,
+                format_version: VERSION_V2,
+                compression: true,
                 measure: Some(&*measure),
             },
         );

@@ -34,7 +34,7 @@ use waterwheel_agg::WheelSummary;
 use waterwheel_cluster::Cluster;
 use waterwheel_core::{ChunkId, NodeId, Result, ServerId, SubQuery, SystemConfig, Tuple, WwError};
 use waterwheel_index::columnar::{DecodedLeaf, ScanScratch};
-use waterwheel_index::{columnar, Bitmap};
+use waterwheel_index::Bitmap;
 use waterwheel_storage::{
     Block, BlockCache, BlockKey, ChunkReader, SimDfs, Singleflight, VERSION_V1,
 };
@@ -172,9 +172,6 @@ pub struct QueryServer {
     template_flights: Singleflight<ChunkId, Arc<waterwheel_storage::ChunkIndex>>,
     /// Same for footer-only summary loads.
     summary_flights: Singleflight<ChunkId, Option<Arc<WheelSummary>>>,
-    /// Cache hot v2 leaves in decoded-column form
-    /// (`SystemConfig::decoded_column_cache`).
-    decoded_cache: bool,
     /// Per-worker scratch arenas: each subquery checks one out and reuses
     /// its decode/select buffers across every leaf it touches.
     scratch_pool: Mutex<Vec<ScanScratch>>,
@@ -193,16 +190,14 @@ impl QueryServer {
     /// from `cfg` (`cache_capacity_bytes`, `cache_shards`,
     /// `query_io_permits`).
     pub fn with_config(id: ServerId, node: NodeId, dfs: SimDfs, cfg: &SystemConfig) -> Self {
-        let mut qs = Self::with_layout(
+        Self::with_layout(
             id,
             node,
             dfs,
             cfg.cache_capacity_bytes,
             cfg.cache_shards,
             cfg.query_io_permits,
-        );
-        qs.decoded_cache = cfg.decoded_column_cache;
-        qs
+        )
     }
 
     /// Fully explicit constructor (benches and ablations).
@@ -224,7 +219,6 @@ impl QueryServer {
             io_permits: IoPermits::new(io_permits),
             template_flights: Singleflight::new(),
             summary_flights: Singleflight::new(),
-            decoded_cache: true,
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
@@ -407,9 +401,6 @@ impl QueryServer {
         enum Slot {
             /// v1 page, decoded to row tuples.
             Rows(Arc<Vec<Tuple>>),
-            /// v2 page, kept as its encoded column image (late
-            /// materialization happens at filter time).
-            Cols(Arc<Vec<u8>>),
             /// v2 page from the decoded-column cache tier: key/timestamp
             /// columns already decoded, scans skip the varint kernels.
             Decoded(Arc<DecodedLeaf>),
@@ -443,10 +434,6 @@ impl QueryServer {
                 Some(Block::Leaf(page)) => {
                     self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
                     slots.push((li, Slot::Rows(page)));
-                }
-                Some(Block::Column(image)) => {
-                    self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    slots.push((li, Slot::Cols(image)));
                 }
                 Some(Block::ColumnDecoded(leaf)) => {
                     self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -501,9 +488,9 @@ impl QueryServer {
                 collect_hits(leaf.scan(&sq.keys, &sq.times, scratch)?, out);
                 Ok(())
             };
-        // An encoded image pays the decode once; with the decoded-column
-        // cache on, the decoded form is cached so the next scan of this
-        // leaf is a decode hit.
+        // A freshly read column image pays the decode once, and the
+        // decoded form is cached so the next scan of this leaf is a decode
+        // hit.
         let scan_cols = |li: usize,
                          image: &[u8],
                          out: &mut Vec<Tuple>,
@@ -513,25 +500,18 @@ impl QueryServer {
                 .column_decode_misses
                 .fetch_add(1, Ordering::Relaxed);
             let count = index.leaves[li].count;
-            let hits = if self.decoded_cache {
-                let decoded = Arc::new(DecodedLeaf::decode(image, count, true, scratch)?);
-                let scanned = decoded.scan(&sq.keys, &sq.times, scratch)?;
-                self.cache.put(
-                    BlockKey::Leaf(chunk, li as u32),
-                    Block::ColumnDecoded(decoded),
-                );
-                scanned
-            } else {
-                columnar::scan_leaf_with(image, count, &sq.keys, &sq.times, scratch)?
-            };
-            collect_hits(hits, out);
+            let decoded = Arc::new(DecodedLeaf::decode(image, count, true, scratch)?);
+            collect_hits(decoded.scan(&sq.keys, &sq.times, scratch)?, out);
+            self.cache.put(
+                BlockKey::Leaf(chunk, li as u32),
+                Block::ColumnDecoded(decoded),
+            );
             Ok(())
         };
         if miss_runs.is_empty() {
-            for (li, slot) in &slots {
+            for (_, slot) in &slots {
                 match slot {
                     Slot::Rows(page) => filter_into(page, &mut out),
-                    Slot::Cols(image) => scan_cols(*li, image, &mut out, scratch)?,
                     Slot::Decoded(leaf) => scan_decoded(leaf, &mut out, scratch)?,
                     Slot::Miss => unreachable!("no miss runs"),
                 }
@@ -555,7 +535,7 @@ impl QueryServer {
                         self.dfs.open(chunk, Some(self.node)).and_then(|file| {
                             let reader = ChunkReader::new(file);
                             if columnar_chunk {
-                                // Cache and ship the encoded column images;
+                                // Ship the encoded column images; the
                                 // decoding waits for the filter step.
                                 reader.read_leaf_pages(index, mlo, mhi).map(|pages| {
                                     pages
@@ -580,18 +560,13 @@ impl QueryServer {
                                 .fetch_add((mhi - mlo + 1) as u64, Ordering::Relaxed);
                             for (offset, page) in pages.into_iter().enumerate() {
                                 let li = mlo + offset;
-                                // With the decoded-column cache on, the
-                                // consumer caches the *decoded* form of a
-                                // column page instead — caching the encoded
-                                // image here would immediately be evicted by
-                                // the upgrade.
-                                let block = match &page {
-                                    Page::Rows(p) => Some(Block::Leaf(Arc::clone(p))),
-                                    Page::Cols(_) if self.decoded_cache => None,
-                                    Page::Cols(p) => Some(Block::Column(Arc::clone(p))),
-                                };
-                                if let Some(block) = block {
-                                    self.cache.put(BlockKey::Leaf(chunk, li as u32), block);
+                                // Column pages are cached by the consumer,
+                                // in their decoded form.
+                                if let Page::Rows(p) = &page {
+                                    self.cache.put(
+                                        BlockKey::Leaf(chunk, li as u32),
+                                        Block::Leaf(Arc::clone(p)),
+                                    );
                                 }
                                 if tx.send(Ok((li, page))).is_err() {
                                     return; // consumer bailed on an error
@@ -608,7 +583,6 @@ impl QueryServer {
             for (li, slot) in &slots {
                 match slot {
                     Slot::Rows(page) => filter_into(page, &mut out),
-                    Slot::Cols(image) => scan_cols(*li, image, &mut out, scratch)?,
                     Slot::Decoded(leaf) => scan_decoded(leaf, &mut out, scratch)?,
                     Slot::Miss => {
                         let (got_li, page) = rx
@@ -633,13 +607,11 @@ mod tests {
     use super::*;
     use waterwheel_cluster::LatencyModel;
     use waterwheel_core::{KeyInterval, QueryId, SubQueryId, SubQueryTarget, TimeInterval};
-    use waterwheel_index::{IndexConfig, TemplateBTree, TupleIndex};
-    use waterwheel_storage::write_chunk;
+    use waterwheel_index::{IndexConfig, SealedTree, TemplateBTree, TupleIndex};
+    use waterwheel_storage::{write_chunk, write_chunk_opts, ChunkWriteOptions, VERSION_V2};
 
-    fn setup(name: &str) -> (SimDfs, ChunkId, Vec<Tuple>) {
-        let root = std::env::temp_dir().join(format!("ww-qs-test-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let dfs = SimDfs::new(root, Cluster::new(4), 3, LatencyModel::default()).unwrap();
+    /// 600 tuples with keys `i * 5 + key_offset`, sealed into many leaves.
+    fn sealed_tree(key_offset: u64) -> SealedTree {
         let cfg = IndexConfig {
             leaf_capacity: 16,
             fanout: 4,
@@ -648,9 +620,17 @@ mod tests {
         };
         let tree = TemplateBTree::new(KeyInterval::full(), cfg);
         for i in 0..600u64 {
-            tree.insert(Tuple::new(i * 5, 1_000 + i, vec![0u8; 6]));
+            tree.insert(Tuple::new(i * 5 + key_offset, 1_000 + i, vec![0u8; 6]));
         }
-        let sealed = tree.seal().unwrap();
+        tree.seal().unwrap()
+    }
+
+    /// A DFS holding one v1 chunk, `ChunkId(0)`, and its tuples.
+    fn setup(name: &str) -> (SimDfs, ChunkId, Vec<Tuple>) {
+        let root = std::env::temp_dir().join(format!("ww-qs-test-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dfs = SimDfs::new(root, Cluster::new(4), 3, LatencyModel::default()).unwrap();
+        let sealed = sealed_tree(0);
         let tuples = sealed.clone().into_tuples();
         let chunk = ChunkId(0);
         dfs.write_chunk(chunk, &write_chunk(&sealed)).unwrap();
@@ -687,6 +667,49 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         assert!(!got.is_empty());
+    }
+
+    #[test]
+    fn mixed_v1_and_v2_store_answers_the_exact_union() {
+        // Stores written before v2 became the only chunk format keep their
+        // v1 chunks beside new v2 ones; reads dispatch per chunk header.
+        let (dfs, v1, mut want) = setup("mixed");
+        let v2 = ChunkId(1);
+        let sealed = sealed_tree(2);
+        want.extend(sealed.clone().into_tuples());
+        let bytes = write_chunk_opts(
+            &sealed,
+            None,
+            &ChunkWriteOptions {
+                format_version: VERSION_V2,
+                compression: true,
+                measure: None,
+            },
+        );
+        dfs.write_chunk(v2, &bytes).unwrap();
+        want.sort_by_key(|t| (t.key, t.ts));
+        let qs = QueryServer::new(ServerId(0), NodeId(0), dfs.clone(), 8 << 20);
+        let union = || {
+            let mut got = Vec::new();
+            for chunk in [v1, v2] {
+                let sq = subquery(KeyInterval::full(), TimeInterval::full(), chunk);
+                got.extend(qs.execute(&sq, chunk).unwrap());
+            }
+            got.sort_by_key(|t| (t.key, t.ts));
+            got
+        };
+        assert_eq!(union(), want, "cold read");
+        let opens = dfs.stats().opens.load(Ordering::Relaxed);
+        let leaf_reads = qs.stats().leaf_reads.load(Ordering::Relaxed);
+        assert_eq!(union(), want, "cached read");
+        // The repeat is served wholly from cache: v1 leaves as row pages,
+        // v2 leaves as decoded columns.
+        assert_eq!(dfs.stats().opens.load(Ordering::Relaxed), opens);
+        assert_eq!(qs.stats().leaf_reads.load(Ordering::Relaxed), leaf_reads);
+        let decode_hits = qs.stats().column_decode_hits.load(Ordering::Relaxed);
+        let leaf_hits = qs.stats().leaf_cache_hits.load(Ordering::Relaxed);
+        assert!(decode_hits > 0, "v2 leaves were not cached decoded");
+        assert!(leaf_hits > decode_hits, "v1 leaves were not cached as rows");
     }
 
     #[test]

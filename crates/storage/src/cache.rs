@@ -42,9 +42,6 @@ pub enum Block {
     Index(Arc<ChunkIndex>),
     /// A decoded leaf page.
     Leaf(Arc<Vec<Tuple>>),
-    /// A still-encoded v2 columnar leaf image: cached compact, rows are
-    /// late-materialized per subquery.
-    Column(Arc<Vec<u8>>),
     /// A v2 leaf with its key/timestamp columns held decoded (the payload
     /// tail stays compressed): the hot tier — repeated scans skip the
     /// varint decode entirely. Charged at actual resident bytes, which can
@@ -62,10 +59,6 @@ impl Block {
                 .iter()
                 .map(|t| t.encoded_len() + std::mem::size_of::<Tuple>())
                 .sum(),
-            // Columnar images are cached compressed — that is the point —
-            // but are charged at their allocation, not just their logical
-            // length, so the budget reflects what is actually resident.
-            Block::Column(image) => image.capacity() + std::mem::size_of::<Vec<u8>>(),
             // Decoded columns report their own residency: column vectors at
             // allocated width plus the encoded payload tail.
             Block::ColumnDecoded(leaf) => leaf.resident_bytes(),
@@ -302,10 +295,9 @@ mod tests {
             .collect();
         let image = encode_leaf(&entries, true);
         let mut scratch = ScanScratch::new();
-        let mut decode = || {
-            Arc::new(DecodedLeaf::decode(&image, entries.len() as u32, true, &mut scratch).unwrap())
-        };
-        let decoded = decode();
+        let decoded = Arc::new(
+            DecodedLeaf::decode(&image, entries.len() as u32, true, &mut scratch).unwrap(),
+        );
         let resident = decoded.resident_bytes();
         assert!(
             resident > image.len() * 2,
@@ -320,7 +312,6 @@ mod tests {
         // A budget that fits exactly two decoded leaves must hold after
         // decode-and-cache of many more — honest charging forces eviction.
         let cache = BlockCache::new(resident * 2 + 1);
-        let mut scratch = ScanScratch::new();
         for i in 0..8u64 {
             let decoded = Arc::new(
                 DecodedLeaf::decode(&image, entries.len() as u32, true, &mut scratch).unwrap(),
@@ -335,15 +326,6 @@ mod tests {
         );
         assert_eq!(cache.len(), 2);
         assert!(cache.stats().evictions.load(Ordering::Relaxed) >= 6);
-        // Upgrading an encoded entry to its decoded form re-charges it.
-        cache.clear();
-        let key = BlockKey::Leaf(ChunkId(0), 0);
-        cache.put(key, Block::Column(Arc::new(image.clone())));
-        let encoded_used = cache.used_bytes();
-        cache.put(key, Block::ColumnDecoded(decode()));
-        assert_eq!(cache.len(), 1);
-        assert!(cache.used_bytes() > encoded_used);
-        assert_eq!(cache.used_bytes(), resident);
     }
 
     #[test]

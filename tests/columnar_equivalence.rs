@@ -1,14 +1,16 @@
-//! v1 ↔ v2 chunk-format equivalence oracle and MIN/MAX pruning proof.
+//! Columnar chunk answers against the input-stream oracle, and the
+//! MIN/MAX pruning proof.
 //!
-//! Three systems differing only in `chunk_format_version` /
-//! `chunk_compression` ingest the identical stream and must answer every
-//! range query, predicate query, and aggregate byte-identically: the
-//! columnar format changes bytes on disk, never answers. A separate test
-//! shows the persisted measure bounds actually skip whole chunks (and
-//! leaves) for a disjoint `measure_range` — without changing the answer
-//! relative to a pruning-disabled run.
+//! A system writing columnar (v2) chunks ingests a stream and must answer
+//! every range query, predicate query, measure-range query and aggregate
+//! exactly like a filter-and-fold over the tuples it was fed: the columnar
+//! format and the decoded-column cache change bytes on disk and in memory,
+//! never answers. Separate tests show the persisted measure bounds
+//! actually skip whole chunks (and leaves) for a disjoint `measure_range`
+//! while the answer still matches the oracle.
 
 use std::sync::atomic::Ordering;
+use waterwheel::agg::PartialAgg;
 use waterwheel::core::AggregateKind;
 use waterwheel::prelude::*;
 use waterwheel::workloads::{oracle, QueryGen, TDriveConfig, TDriveGen, TemporalShape};
@@ -19,17 +21,7 @@ fn fresh_root(name: &str) -> std::path::PathBuf {
     root
 }
 
-fn system(name: &str, version: u32, compression: bool, pruning: bool) -> Waterwheel {
-    system_with(name, version, compression, pruning, true)
-}
-
-fn system_with(
-    name: &str,
-    version: u32,
-    compression: bool,
-    pruning: bool,
-    decoded_cache: bool,
-) -> Waterwheel {
+fn system(name: &str) -> Waterwheel {
     let mut cfg = SystemConfig::default();
     cfg.chunk_size_bytes = 32 * 1024;
     cfg.indexing_servers = 2;
@@ -37,10 +29,6 @@ fn system_with(
     // Frequent skew checks so the template actually splits into many
     // leaves at these small test scales — per-leaf bounds need >1 leaf.
     cfg.skew_check_interval = 64;
-    cfg.chunk_format_version = version;
-    cfg.chunk_compression = compression;
-    cfg.measure_pruning = pruning;
-    cfg.decoded_column_cache = decoded_cache;
     let ww = Waterwheel::builder(fresh_root(name))
         .config(cfg)
         .build()
@@ -60,45 +48,58 @@ fn normalized(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
     tuples
 }
 
-/// Every v1/v2/v2-uncompressed system answers the default T-Drive stream
-/// identically — range queries against the full-scan oracle, predicate
-/// queries, measure-range queries, and all aggregate kinds.
+/// The aggregate oracle: `measure` folded over the expected answer.
+fn fold(tuples: &[Tuple]) -> PartialAgg {
+    let mut agg = PartialAgg::empty();
+    for t in tuples {
+        agg.insert(measure(t));
+    }
+    agg
+}
+
+/// Asserts every aggregate kind of `q` equals the fold over `want`.
+fn assert_aggregates(ww: &Waterwheel, q: &Query, want: &[Tuple]) {
+    let want = fold(want);
+    for kind in AggregateKind::ALL {
+        let got = ww.aggregate(&q.clone().aggregate(kind)).unwrap();
+        assert_eq!(got.agg, want, "kind={kind:?}");
+        let value = match kind {
+            AggregateKind::Count => Some(want.count as f64),
+            AggregateKind::Sum => Some(want.sum as f64),
+            AggregateKind::Min => want.min().map(|v| v as f64),
+            AggregateKind::Max => want.max().map(|v| v as f64),
+            AggregateKind::Avg => want.avg(),
+        };
+        assert_eq!(got.value(), value, "kind={kind:?}");
+    }
+}
+
+/// A columnar system answers the default T-Drive stream exactly like the
+/// input oracle — range queries, predicate queries, measure-range queries,
+/// and all aggregate kinds — with repeat scans served from the
+/// decoded-column cache.
 #[test]
-fn v1_and_v2_answer_byte_identically() {
-    let systems = [
-        system("v1", 1, false, true),
-        system("v2", 2, true, true),
-        system("v2-raw", 2, false, true),
-        // Scan-path knob off: no decoded-column cache. Answers must not
-        // move — only throughput may. (Vectorized ≡ scalar kernels is
-        // property-tested in crates/index/tests/columnar_kernels.rs.)
-        system_with("v2-nocache", 2, true, true, false),
-    ];
+fn columnar_answers_match_input_oracle() {
+    let ww = system("oracle");
     let mut fleet = TDriveGen::new(TDriveConfig {
         taxis: 200,
         seed: 9,
         ..TDriveConfig::default()
     });
     let mut all: Vec<Tuple> = Vec::new();
-    // First half flushed to chunks, second half left in memory, so queries
-    // cross the format boundary and the memory path in one answer.
+    // First part flushed to chunks, the rest left in memory, so queries
+    // cross the chunk and memory paths in one answer.
     for i in 0..8_000 {
         let t = fleet.next().unwrap();
         all.push(t.clone());
-        for ww in &systems {
-            ww.insert(t.clone()).unwrap();
-        }
+        ww.insert(t).unwrap();
         if i == 4_999 {
-            for ww in &systems {
-                ww.drain().unwrap();
-                ww.flush_all().unwrap();
-            }
+            ww.drain().unwrap();
+            ww.flush_all().unwrap();
         }
     }
-    for ww in &systems {
-        ww.drain().unwrap();
-        assert!(ww.metadata().chunk_count() > 0, "nothing reached chunks");
-    }
+    ww.drain().unwrap();
+    assert!(ww.metadata().chunk_count() > 0, "nothing reached chunks");
 
     let now = fleet.now_ms();
     let mut qg = QueryGen::new(KeyInterval::full(), 41);
@@ -106,71 +107,55 @@ fn v1_and_v2_answer_byte_identically() {
         for shape in TemporalShape::paper_set() {
             let q = qg.query(selectivity, shape, 0, now);
             let want = oracle(&all, &q.keys, &q.times);
-            for ww in &systems {
-                let got = normalized(ww.query(&q).unwrap().tuples);
-                assert_eq!(got, want, "sel={selectivity} shape={}", shape.label());
-            }
+            let got = normalized(ww.query(&q).unwrap().tuples);
+            assert_eq!(got, want, "sel={selectivity} shape={}", shape.label());
         }
     }
 
-    // Predicate + measure-range queries and aggregates: compare the
-    // systems against each other (v1 answer is the reference).
-    let probes = [
-        Query::range(KeyInterval::full(), TimeInterval::new(0, now)),
-        Query::with_predicate(KeyInterval::full(), TimeInterval::new(0, now), |t| {
-            t.ts % 3 == 0
-        }),
-        Query::range(KeyInterval::full(), TimeInterval::new(0, now))
-            .and_measure_between(u64::MAX / 4, u64::MAX / 2),
-    ];
-    for q in &probes {
-        let want = normalized(systems[0].query(q).unwrap().tuples);
-        for ww in &systems[1..] {
-            assert_eq!(normalized(ww.query(q).unwrap().tuples), want);
-        }
-        for kind in AggregateKind::ALL {
-            let want = systems[0].aggregate(&q.clone().aggregate(kind)).unwrap();
-            for ww in &systems[1..] {
-                let got = ww.aggregate(&q.clone().aggregate(kind)).unwrap();
-                assert_eq!(got.agg, want.agg, "kind={kind:?}");
-                assert_eq!(got.value(), want.value(), "kind={kind:?}");
-            }
-        }
-    }
-
-    // The query battery above revisits the same chunks many times, so the
-    // default v2 system must have served repeat scans from the
-    // decoded-column cache tier; with the knob off that tier stays cold.
-    let decode_counters = |ww: &Waterwheel| {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut selected = 0u64;
-        for qs in ww.query_servers() {
-            hits += qs.stats().column_decode_hits.load(Ordering::Relaxed);
-            misses += qs.stats().column_decode_misses.load(Ordering::Relaxed);
-            selected += qs.stats().scan_selected_rows.load(Ordering::Relaxed);
-        }
-        (hits, misses, selected)
+    // Predicate and measure-range queries plus every aggregate kind, each
+    // against the matching filter over the input stream.
+    let (keys, times) = (KeyInterval::full(), TimeInterval::new(0, now));
+    let (mlo, mhi) = (u64::MAX / 4, u64::MAX / 2);
+    let in_window = oracle(&all, &keys, &times);
+    let filtered = |keep: &dyn Fn(&Tuple) -> bool| -> Vec<Tuple> {
+        in_window.iter().filter(|t| keep(t)).cloned().collect()
     };
-    let (hits, misses, selected) = decode_counters(&systems[1]);
-    assert!(hits > 0, "repeat v2 scans never hit the decoded cache");
+    let probes = [
+        (Query::range(keys, times), in_window.clone()),
+        (
+            Query::with_predicate(keys, times, |t| t.ts % 3 == 0),
+            filtered(&|t| t.ts % 3 == 0),
+        ),
+        (
+            Query::range(keys, times).and_measure_between(mlo, mhi),
+            filtered(&|t| (mlo..=mhi).contains(&measure(t))),
+        ),
+    ];
+    for (q, want) in &probes {
+        assert!(!want.is_empty(), "probe selects nothing");
+        assert_eq!(&normalized(ww.query(q).unwrap().tuples), want);
+        assert_aggregates(&ww, q, want);
+    }
+
+    // The query battery above revisits the same chunks many times, so
+    // repeat scans must have been served from the decoded-column cache.
+    let (mut hits, mut misses, mut selected) = (0u64, 0u64, 0u64);
+    for qs in ww.query_servers() {
+        hits += qs.stats().column_decode_hits.load(Ordering::Relaxed);
+        misses += qs.stats().column_decode_misses.load(Ordering::Relaxed);
+        selected += qs.stats().scan_selected_rows.load(Ordering::Relaxed);
+    }
+    assert!(hits > 0, "repeat scans never hit the decoded cache");
     assert!(misses > 0, "first touch of each leaf must count a decode");
     assert!(selected > 0, "columnar scans materialized no rows");
-    let (v1_hits, v1_misses, _) = decode_counters(&systems[0]);
-    assert_eq!((v1_hits, v1_misses), (0, 0), "v1 has no column decodes");
-    let (nc_hits, nc_misses, nc_selected) = decode_counters(&systems[3]);
-    assert_eq!(nc_hits, 0, "decoded cache off must never register a hit");
-    assert!(nc_misses > 0, "knob off still decodes encoded images");
-    assert!(nc_selected > 0);
 }
 
 /// Persisted MIN/MAX measure bounds skip whole chunks (and v2 leaves) for a
-/// disjoint measure range, and pruning never changes the answer: a twin
-/// system with `measure_pruning = false` returns byte-identical results.
+/// disjoint measure range, and pruning never changes the answer: it still
+/// matches the filter over the input stream, aggregates included.
 #[test]
 fn measure_bounds_prune_whole_chunks_without_changing_answers() {
-    let pruned = system("prune-on", 2, true, true);
-    let unpruned = system("prune-off", 2, true, false);
+    let ww = system("prune");
     // Three disjoint key batches, each flushed into its own chunk(s), so
     // the chunks carry disjoint measure bounds (measure == key).
     let mut all = Vec::new();
@@ -182,23 +167,20 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
                 vec![7; 16],
             );
             all.push(t.clone());
-            pruned.insert(t.clone()).unwrap();
-            unpruned.insert(t).unwrap();
+            ww.insert(t).unwrap();
         }
-        for ww in [&pruned, &unpruned] {
-            ww.drain().unwrap();
-            ww.flush_all().unwrap();
-        }
+        ww.drain().unwrap();
+        ww.flush_all().unwrap();
     }
     assert!(
-        pruned.metadata().chunk_count() >= 3,
+        ww.metadata().chunk_count() >= 3,
         "need one chunk per batch for the pruning claim"
     );
 
     // Only the middle batch intersects [100_000, 100_999].
     let q = Query::range(KeyInterval::full(), TimeInterval::full())
         .and_measure_between(100_000, 100_999);
-    let got = normalized(pruned.query(&q).unwrap().tuples);
+    let got = normalized(ww.query(&q).unwrap().tuples);
     let want: Vec<Tuple> = normalized(
         all.iter()
             .filter(|t| (100_000..=100_999).contains(&t.key))
@@ -206,13 +188,8 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
             .collect(),
     );
     assert_eq!(got, want, "pruned answer diverged from the oracle");
-    assert_eq!(
-        got,
-        normalized(unpruned.query(&q).unwrap().tuples),
-        "pruning changed the answer"
-    );
 
-    let chunks_skipped = pruned
+    let chunks_skipped = ww
         .coordinator()
         .stats()
         .measure_pruned_chunks
@@ -221,27 +198,17 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
         chunks_skipped >= 1,
         "expected at least one whole chunk skipped by measure bounds"
     );
-    let unpruned_skips = unpruned
-        .coordinator()
-        .stats()
-        .measure_pruned_chunks
-        .load(Ordering::Relaxed);
-    assert_eq!(unpruned_skips, 0, "knob off must disable pruning entirely");
 
     // Aggregates over a measure range take the tuple-scan fallback and
-    // still agree between the two systems.
-    for kind in AggregateKind::ALL {
-        let a = pruned.aggregate(&q.clone().aggregate(kind)).unwrap();
-        let b = unpruned.aggregate(&q.clone().aggregate(kind)).unwrap();
-        assert_eq!(a.agg, b.agg, "kind={kind:?}");
-    }
+    // still fold to the oracle.
+    assert_aggregates(&ww, &q, &want);
 }
 
 /// Within a single v2 chunk, per-leaf bounds prune leaves the chunk-level
 /// bounds cannot (the chunk straddles the range, some leaves do not).
 #[test]
 fn leaf_bounds_prune_within_a_chunk() {
-    let ww = system("leaf-prune", 2, true, true);
+    let ww = system("leaf-prune");
     // Keys spread over the full u64 domain so the template tree's leaves
     // each receive a distinct key slice — and, with measure == key,
     // distinct measure bounds. (Clustered keys would all land in one
